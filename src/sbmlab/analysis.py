@@ -160,9 +160,13 @@ def remainder_norm(mesh, quad, sol):
     return math.sqrt(total)
 
 
-def energy_error(mesh, quad, u_h, sol, degree=4):
-    """Energy-norm error: H1 part plus the transported boundary mismatch."""
-    _, h1 = error_norms(mesh, u_h, sol, degree)
+def energy_error(mesh, quad, u_h, sol, degree=4, h1=None):
+    """Energy-norm error: H1 part plus the transported boundary mismatch.
+
+    Pass ``h1`` from ``error_norms`` at the same degree to skip recomputing it.
+    """
+    if h1 is None:
+        _, h1 = error_norms(mesh, u_h, sol, degree)
     pts = _nudged_points(quad, _corner_of(sol))
     flat = pts.reshape(-1, 2)
     shape = pts.shape[:2]
@@ -184,7 +188,7 @@ def error_report(mesh, quad, u_h, sol, degree=4):
         h_omega=h_omega,
         err_l2=err_l2,
         err_h1=err_h1,
-        err_energy=energy_error(mesh, quad, u_h, sol, degree),
+        err_energy=energy_error(mesh, quad, u_h, sol, degree, h1=err_h1),
         remainder=remainder_norm(mesh, quad, sol),
         dofs=mesh.num_vertices,
     )

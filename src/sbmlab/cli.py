@@ -45,6 +45,10 @@ class RunConfig:
             raise ConfigError("gamma must be positive")
         if self.n0 < 4:
             raise ConfigError("n0 must be at least 4")
+        if self.domain == "corner" and self.n0 % 2:
+            raise ConfigError(
+                f"n0 must be even on the corner domain: with n0={self.n0} "
+                "the grid would not pass through the re-entrant corner")
         if self.levels < 1:
             raise ConfigError("levels must be at least 1")
         if self.nq_edge < 1:
@@ -82,14 +86,20 @@ def _problem(cfg):
     return geometry.bind_dirichlet(domain, sol), sol
 
 
-def solve_level(cfg, domain, sol, n):
-    """Mesh, assemble and solve one refinement level."""
+def _discretize(cfg, domain, sol, n, shift=False):
+    """Surrogate mesh (node-shifted if ``shift``), quadrature and system."""
     mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-    if cfg.shift_enabled:
+    if shift:
         mesh = shift_boundary_nodes(
             mesh, domain, ShiftConfig(zeta=cfg.zeta, c_d=cfg.c_d))
     quad = assembly.build_boundary_quadrature(mesh, domain, sol, cfg.nq_edge)
     system = assembly.assemble(mesh, domain, sol, cfg.gamma, cfg.nq_edge, quad)
+    return mesh, quad, system
+
+
+def solve_level(cfg, domain, sol, n):
+    """Mesh, assemble and solve one refinement level."""
+    mesh, quad, system = _discretize(cfg, domain, sol, n, cfg.shift_enabled)
     report = linsolve.solve(system, tol=cfg.solver_tol)
     err = analysis.error_report(mesh, quad, report.solution, sol)
     return mesh, quad, system, report, err
@@ -161,12 +171,7 @@ def cmd_study(cfg):
 def _verify_checks(cfg):
     domain, sol = _problem(cfg)
     n = cfg.n0
-    mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-    if cfg.shift_enabled:
-        mesh = shift_boundary_nodes(
-            mesh, domain, ShiftConfig(zeta=cfg.zeta, c_d=cfg.c_d))
-    quad = assembly.build_boundary_quadrature(mesh, domain, sol, cfg.nq_edge)
-    system = assembly.assemble(mesh, domain, sol, cfg.gamma, cfg.nq_edge, quad)
+    mesh, quad, system = _discretize(cfg, domain, sol, n, cfg.shift_enabled)
     rng = np.random.default_rng(20240901)
     checks = []
 
@@ -185,13 +190,7 @@ def _verify_checks(cfg):
     affine = geometry.make_affine_solution(0.3, 0.7, -0.4)
     patch_domain = geometry.bind_dirichlet(
         geometry.domain_by_name(cfg.domain), affine)
-    pn = min(n, 16)
-    pmesh = restrict_to_domain(build_background(patch_domain.bbox, pn),
-                               patch_domain)
-    pquad = assembly.build_boundary_quadrature(pmesh, patch_domain, affine,
-                                               cfg.nq_edge)
-    psys = assembly.assemble(pmesh, patch_domain, affine, cfg.gamma,
-                             cfg.nq_edge, pquad)
+    pmesh, pquad, psys = _discretize(cfg, patch_domain, affine, min(n, 16))
     prep = linsolve.solve(psys, tol=cfg.solver_tol)
     pl2, ph1 = analysis.error_norms(pmesh, prep.solution, affine)
     patch = max(pl2, ph1)
@@ -200,13 +199,9 @@ def _verify_checks(cfg):
     rem = analysis.remainder_norm(pmesh, pquad, affine)
     checks.append(("affine_remainder_vanishes", rem, 1e-12, rem <= 1e-12))
 
-    square = geometry.domain_by_name("square")
     sin = geometry.make_sinsin_solution()
-    square = geometry.bind_dirichlet(square, sin)
-    smesh = restrict_to_domain(build_background(square.bbox, min(n, 16)),
-                               square)
-    squad = assembly.build_boundary_quadrature(smesh, square, sin, cfg.nq_edge)
-    ssys = assembly.assemble(smesh, square, sin, cfg.gamma, cfg.nq_edge, squad)
+    square = geometry.bind_dirichlet(geometry.domain_by_name("square"), sin)
+    _, _, ssys = _discretize(cfg, square, sin, min(n, 16))
     asym = float(np.abs(ssys.matrix - ssys.matrix.T).max())
     checks.append(("fitted_mesh_symmetry", asym, 1e-12, asym <= 1e-12))
 

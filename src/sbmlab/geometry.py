@@ -237,13 +237,6 @@ def assign_sideset(edge_endpoints, edge_normal, domain):
     return int(ids[0])
 
 
-def sideset_by_id(domain, sid):
-    for ss in domain.sidesets:
-        if ss.sid == sid:
-            return ss
-    raise GeometryError(f"no sideset with id {sid}")
-
-
 # ---------------------------------------------------------------------------
 # domain catalog
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(str(path), {})
 
 
+def test_odd_n0_on_corner_exits_2(tmp_path, capsys):
+    code = cli.main(["study", "--n0", "21", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n0 must be even" in err
+    assert "re-entrant corner" in err
+    assert not (tmp_path / "study_corner_corner23.csv").exists()
+    with pytest.raises(cli.ConfigError, match="re-entrant corner"):
+        cli.load_config(None, {"domain": "corner", "n0": 15})
+    # other domains have no corner to hit
+    assert cli.load_config(None, {"domain": "disk", "n0": 15}).n0 == 15
+
+
 def test_config_validation():
     with pytest.raises(cli.ConfigError, match="n0"):
         cli.load_config(None, {"n0": 2})

@@ -191,3 +191,79 @@ def test_vtk_export(tmp_path):
     k = lines.index("SCALARS height double 1")
     values = [float(v) for v in lines[k + 2:k + 2 + m.num_vertices]]
     np.testing.assert_allclose(values, m.vertices[:, 1], atol=1e-14)
+
+
+def _boundary_edges_oracle(vertices, triangles):
+    """Directed edges used by exactly one triangle, counted in a dict, in
+    the order (0,1) of every triangle, then (1,2), then (2,0)."""
+    directed = [(int(t[i]), int(t[j]), k)
+                for i, j in ((0, 1), (1, 2), (2, 0))
+                for k, t in enumerate(triangles)]
+    counts = {}
+    for a, b, _ in directed:
+        key = (min(a, b), max(a, b))
+        counts[key] = counts.get(key, 0) + 1
+    kept = [(a, b, k) for a, b, k in directed
+            if counts[(min(a, b), max(a, b))] == 1]
+    ev = np.array([(a, b) for a, b, _ in kept], dtype=int).reshape(-1, 2)
+    owner = np.array([k for _, _, k in kept], dtype=int)
+    tangent = vertices[ev[:, 1]] - vertices[ev[:, 0]]
+    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
+    return ev, owner, normal
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 33])
+@pytest.mark.parametrize("name", ["square", "disk", "corner"])
+def test_boundary_edges_match_dict_count_oracle(name, n):
+    dom = geo.domain_by_name(name)
+    meshes = [msh.build_background(dom.bbox, n)]
+    if not (name == "disk" and n == 2):  # no 2 x 2 grid triangle is inside
+        meshes.append(msh.restrict_to_domain(meshes[0], dom))
+    for m in meshes:
+        ev, eo, en = msh._boundary_edges(m.vertices, m.triangles)
+        ref_ev, ref_eo, ref_en = _boundary_edges_oracle(m.vertices,
+                                                        m.triangles)
+        np.testing.assert_array_equal(ev, ref_ev)
+        np.testing.assert_array_equal(eo, ref_eo)
+        np.testing.assert_array_equal(en, ref_en)
+
+
+def _vtk_reference(mesh, point_data):
+    """Line-by-line legacy VTK text, one formatted line per entry."""
+    lines = ["# vtk DataFile Version 3.0", "surrogate mesh", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
+    lines += [f"{x:.15e} {y:.15e} 0.0" for x, y in mesh.vertices]
+    nt = mesh.num_triangles
+    lines.append(f"CELLS {nt} {4 * nt}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {nt}")
+    lines += ["5"] * nt
+    lines.append(f"POINT_DATA {mesh.num_vertices}")
+    for name, values in point_data.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.15e}" for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_export_matches_line_formatter(tmp_path):
+    from dataclasses import replace
+
+    dom = geo.make_corner_domain()
+    m = msh.restrict_to_domain(msh.build_background(dom.bbox, 6), dom)
+    vertices = m.vertices.copy()
+    vertices[0, 0] = -0.0
+    m = replace(m, vertices=vertices)
+    u = np.sin(7.0 * m.vertices[:, 0]) * 1e-3 + m.vertices[:, 1] * 1e5
+    u[1] = -0.0
+    u[2] = 1e-300
+    fields = {"u_h": u, "y": m.vertices[:, 1]}
+    path = tmp_path / "mesh.vtk"
+    msh.write_vtk(path, m, fields)
+    text = path.read_text()
+    assert "-0.000000000000000e+00" in text
+    assert text == _vtk_reference(m, fields)
+
+    with pytest.raises(MeshError, match="not a nodal scalar"):
+        msh.write_vtk(tmp_path / "bad.vtk", m, {"u": u[:-1]})
+    assert not (tmp_path / "bad.vtk").exists()
