@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import p1_gradients, p1_values, triangle_rule
+from .linsolve import SolveError
 from .mesh import mesh_params
 
 # errors at or below this are reported with the "exact" rate sentinel
@@ -85,13 +86,18 @@ def _nudged_points(quad, corner):
     return pts
 
 
-def _shift_values(mesh, quad, v):
-    """Transported nodal field v + grad(v) . d at all boundary Gauss points."""
+def _edge_basis(mesh, quad):
+    """Per boundary edge: owner-triangle vertex ids, P1 gradients (ne, 3, 2)
+    and P1 values at the edge's Gauss points (ne, nq, 3)."""
     etri = mesh.triangles[mesh.edge_owner]
     ep = mesh.vertices[etri]
-    eg = p1_gradients(ep)
+    return etri, p1_gradients(ep), p1_values(ep[:, None, :, :], quad.points)
+
+
+def _shift_values(mesh, quad, v):
+    """Transported nodal field v + grad(v) . d at all boundary Gauss points."""
+    etri, eg, phi = _edge_basis(mesh, quad)
     vals = v[etri]
-    phi = p1_values(ep[:, None, :, :], quad.points)
     gh = np.einsum("ek,ekd->ed", vals, eg)
     return (np.einsum("eqk,ek->eq", phi, vals)
             + np.einsum("ed,eqd->eq", gh, quad.d))
@@ -120,10 +126,7 @@ def energy_gram(mesh, quad):
     cols = np.tile(tris, (1, 3)).ravel()
     data = k_loc.ravel()
 
-    etri = tris[mesh.edge_owner]
-    ep = mesh.vertices[etri]
-    eg = p1_gradients(ep)
-    phi = p1_values(ep[:, None, :, :], quad.points)
+    etri, eg, phi = _edge_basis(mesh, quad)
     sh = phi + np.einsum("eid,eqd->eqi", eg, quad.d)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)
@@ -211,8 +214,7 @@ def nonsymmetry_residual(sys, mesh, quad, w, v):
     awv = float(v @ (sys.matrix @ w))
     avw = float(w @ (sys.matrix @ v))
 
-    etri = mesh.triangles[mesh.edge_owner]
-    eg = p1_gradients(mesh.vertices[etri])
+    etri, eg, _ = _edge_basis(mesh, quad)
     gw = np.einsum("ek,ekd->ed", w[etri], eg)
     gv = np.einsum("ek,ekd->ed", v[etri], eg)
     dnw = np.einsum("ed,ed->e", gw, mesh.edge_normal)
@@ -224,92 +226,85 @@ def nonsymmetry_residual(sys, mesh, quad, w, v):
     return abs((awv - avw) - bracket) / (1.0 + abs(awv))
 
 
+class Coercivity(float):
+    """lambda_min as a float; ``record`` holds the eigensolve's method, final
+    shift and relative residual ||A_sym x - lam M x|| / (|lam| ||M x||)."""
+
+    def __new__(cls, value, record):
+        self = super().__new__(cls, value)
+        self.record = record
+        return self
+
+
 def coercivity_estimate(sys, mesh, quad):
     """Smallest ratio a(v,v) / ||v||_a^2 over the discrete space.
 
-    Uses shifted inverse-power iteration on the symmetric part of the
-    system matrix against the energy Gram matrix for moderate dimensions;
-    beyond that, Rayleigh-quotient minimization over random samples with
-    gradient descent. May legitimately return a non-positive value when
-    the penalty is too small.
+    This is the smallest eigenvalue of the symmetric part of the system
+    matrix against the energy Gram matrix, from one ARPACK shift-invert
+    eigensolve (see ``_min_eigpair``): the minimum itself, not a bound.
+    May legitimately be non-positive when the penalty is too small.
+    Raises SolveError, naming the shift, when the eigensolve fails.
     """
-    a_sym = 0.5 * (sys.matrix + sys.matrix.T).tocsc()
+    a_sym = (0.5 * (sys.matrix + sys.matrix.T)).tocsc()
     m = energy_gram(mesh, quad).tocsc()
-    n = a_sym.shape[0]
-    if np.linalg.norm(m.diagonal(), np.inf) == 0.0:
-        raise ValueError("singular energy Gram matrix")
-
-    if n <= 2000:
-        return _min_eig_inverse_power(a_sym, m)
-    return _min_rayleigh_sampled(a_sym, m)
-
-
-def _min_eig_inverse_power(a_sym, m, tol=1e-13, max_iter=200):
-    n = a_sym.shape[0]
-    m_lu = spla.splu(m)
-    x = np.ones(n) + 1e-3 * np.cos(np.arange(n))
-    lam_abs = 0.0
-    for _ in range(60):  # power iteration for a spectral-radius bound
-        y = m_lu.solve(a_sym @ x)
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            break
-        x = y / nrm
-        lam_abs = abs(float(x @ (a_sym @ x)) / float(x @ (m @ x)))
-
-    # inverse-power sweeps, re-factorizing with the shift pulled toward the
-    # current estimate so clustered bottom eigenvalues still separate
-    shift = -1.01 * lam_abs - 1e-12
-    x = np.ones(n) + 1e-3 * np.sin(np.arange(n))
-    x /= math.sqrt(float(x @ (m @ x)))
-    lam = None
-    for gap in (None, 1e-1, 1e-3, 1e-6):
-        if gap is not None:
-            shift = lam - gap * max(1.0, abs(lam))
-        lu = spla.splu((a_sym - shift * m).tocsc())
-        for _ in range(max_iter):
-            y = lu.solve(m @ x)
-            y /= math.sqrt(float(y @ (m @ y)))
-            new = float(y @ (a_sym @ y)) / float(y @ (m @ y))
-            x = y
-            done = lam is not None and abs(new - lam) <= tol * max(1.0, abs(new))
-            lam = new
-            if done:
-                break
-    return float(lam)
+    if not np.any(m.diagonal()):
+        raise SolveError("coercivity eigensolve: singular energy Gram matrix")
+    lam, x, shift = _min_eigpair(a_sym, m)
+    mx = m @ x
+    res = np.linalg.norm(a_sym @ x - lam * mx) / np.linalg.norm(lam * mx)
+    return Coercivity(lam, {"method": "arpack-shift-invert", "shift": shift,
+                            "eigen_residual": float(res)})
 
 
-def _min_rayleigh_sampled(a_sym, m, samples=10000, descent=200, seed=1234):
-    rng = np.random.default_rng(seed)
-    n = a_sym.shape[0]
-    best, best_q = None, np.inf
-    block = 200
-    for start in range(0, samples, block):
-        v = rng.standard_normal((n, min(block, samples - start)))
-        num = np.einsum("nk,nk->k", v, a_sym @ v)
-        den = np.einsum("nk,nk->k", v, m @ v)
-        q = num / den
-        k = int(np.argmin(q))
-        if q[k] < best_q:
-            best_q, best = float(q[k]), v[:, k].copy()
-    x = best
-    q = best_q
-    for _ in range(descent):
-        mx = m @ x
-        grad = 2.0 * ((a_sym @ x) - q * mx) / float(x @ mx)
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            xn = x - step * grad
-            qn = float(xn @ (a_sym @ xn)) / float(xn @ (m @ xn))
-            if qn < q - 1e-15:
-                x, q = xn / np.linalg.norm(xn), qn
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return float(q)
+def _factor_below(a_sym, m, shift):
+    """Solver for a_sym - shift m, or None unless shift is below the spectrum.
+
+    SuperLU is held to diagonal pivots (perm_r == perm_c confirms it), so
+    the factorization is L D L^T with D = diag(U), and by Sylvester's law
+    of inertia the shift lies strictly below every eigenvalue of (a_sym, m)
+    exactly when D > 0.
+    """
+    try:
+        lu = spla.splu((a_sym - shift * m).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular: the shift is an eigenvalue
+        return None
+    if (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        return spla.LinearOperator(a_sym.shape, matvec=lu.solve)
+    return None
+
+
+def _min_eigpair(a_sym, m):
+    """(lambda_min, x, shift) of a_sym x = lambda m x by ARPACK shift-invert.
+
+    A function vanishing on the boundary triangles has ratio exactly 1, so
+    the first shift tried is -1, doubled until the inertia test puts it
+    below the spectrum. A tol-1e-3 solve there bounds lambda_min from
+    above; the tight solve re-shifts below that estimate, where the bottom
+    eigenvalues separate better, unless the inertia test shows that the
+    re-shift would pass lambda_min.
+    """
+    shift = -1.0
+    while (op := _factor_below(a_sym, m, shift)) is None:
+        if shift < -1e12:
+            raise SolveError("coercivity eigensolve: no shift below the "
+                             f"spectrum down to {shift:.1e}")
+        shift *= 2.0
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, a_sym.shape[0])
+    try:
+        lam, x = spla.eigsh(a_sym, k=1, M=m, sigma=shift, OPinv=op,
+                            v0=start, tol=1e-3)
+        near = lam[0] - 0.1 * max(1.0, abs(lam[0]))
+        if (op_near := _factor_below(a_sym, m, near)) is not None:
+            shift, op = float(near), op_near
+        lam, x = spla.eigsh(a_sym, k=1, M=m, sigma=shift, OPinv=op,
+                            v0=x[:, 0], tol=1e-12)
+    except spla.ArpackError as err:
+        raise SolveError(f"coercivity eigensolve (ARPACK shift-invert, "
+                         f"shift {shift:.6e}) failed: {err}") from err
+    return float(lam[0]), x[:, 0], shift
 
 
 # ---------------------------------------------------------------------------

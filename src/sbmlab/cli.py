@@ -218,8 +218,10 @@ def cmd_verify(cfg):
     checks = _verify_checks(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "verify_report.json")
-    payload = [{"check": name, "measured": measured, "bound": bound,
-                "pass": bool(ok)} for name, measured, bound, ok in checks]
+    # a measured value with a record (the coercivity eigensolve) adds it
+    payload = [{"check": name, "measured": float(measured), "bound": bound,
+                "pass": bool(ok), **getattr(measured, "record", {})}
+               for name, measured, bound, ok in checks]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

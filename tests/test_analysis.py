@@ -159,21 +159,57 @@ def test_coercivity_reports_negative_without_failing():
     assert abs(alpha - dense) <= 1e-8 * max(1.0, abs(dense))
 
 
-def test_coercivity_sampled_path_tracks_oracle():
-    # the sampled Rayleigh-quotient minimizer (used beyond the eigensolve
-    # size limit) must find the negative direction when one exists and
-    # stay positive when the form is coercive
-    from sbmlab.analysis import _min_rayleigh_sampled, energy_gram
-
+def test_coercivity_above_2000_dofs_matches_dense_oracle():
+    # n=52 gives 2,126 dofs, beyond the size where the estimate used to be
+    # a sampled upper bound; the eigensolve must find the true minimum for
+    # a coercive form and for one that is not
     for gamma, sign in ((10.0, 1.0), (0.01, -1.0)):
         dom, sol, mesh_, quad, system = make_problem("corner", "corner23",
-                                                     10, gamma=gamma)
-        a_sym = (0.5 * (system.matrix + system.matrix.T)).tocsc()
-        gram = energy_gram(mesh_, quad).tocsc()
-        sampled = _min_rayleigh_sampled(a_sym, gram)
+                                                     52, gamma=gamma)
+        assert system.dim > 2000
+        alpha = an.coercivity_estimate(system, mesh_, quad)
         dense = dense_min_eig(system, mesh_, quad)
-        assert sampled * sign > 0.0
-        assert sampled >= dense - 1e-9  # the true minimum bounds it below
+        assert alpha * sign > 0.0
+        assert abs(alpha - dense) <= 1e-8 * abs(dense)
+        assert alpha.record["method"] == "arpack-shift-invert"
+        assert alpha.record["shift"] < alpha
+        assert alpha.record["eigen_residual"] <= 1e-8
+
+
+def test_shift_inertia_test_brackets_the_minimum(corner_problem):
+    _, _, mesh_, quad, system = corner_problem
+    a_sym = (0.5 * (system.matrix + system.matrix.T)).tocsc()
+    gram = an.energy_gram(mesh_, quad).tocsc()
+    dense = dense_min_eig(system, mesh_, quad)
+    assert an._factor_below(a_sym, gram, dense - 1e-6) is not None
+    assert an._factor_below(a_sym, gram, dense + 1e-6) is None
+
+
+def test_coercivity_keeps_first_shift_when_reshift_is_rejected(
+        corner_problem, monkeypatch):
+    # when the inertia test rejects the shift near the rough estimate, the
+    # tight solve runs at the first shift and still finds the minimum
+    _, _, mesh_, quad, system = corner_problem
+    real = an._factor_below
+    shifts = []
+
+    def first_only(a_sym, m, shift):
+        shifts.append(shift)
+        return real(a_sym, m, shift) if len(shifts) == 1 else None
+
+    monkeypatch.setattr(an, "_factor_below", first_only)
+    alpha = an.coercivity_estimate(system, mesh_, quad)
+    dense = dense_min_eig(system, mesh_, quad)
+    assert len(shifts) == 2 and alpha.record["shift"] == shifts[0] < 0.0
+    assert abs(alpha - dense) <= 1e-8 * max(1.0, abs(dense))
+
+
+def test_coercivity_without_shift_below_spectrum_raises(corner_problem,
+                                                        monkeypatch):
+    _, _, mesh_, quad, system = corner_problem
+    monkeypatch.setattr(an, "_factor_below", lambda a_sym, m, shift: None)
+    with pytest.raises(linsolve.SolveError, match="no shift below"):
+        an.coercivity_estimate(system, mesh_, quad)
 
 
 def test_coercivity_is_a_lower_bound(corner_problem, rng):

@@ -97,6 +97,10 @@ def test_verify_passes_with_default_penalty(tmp_path, capsys):
             "affine_patch_test", "affine_remainder_vanishes",
             "fitted_mesh_symmetry"} <= names
     assert all(entry["pass"] for entry in report)
+    coerc = {e["check"]: e for e in report}["coercivity_positive"]
+    assert coerc["method"] == "arpack-shift-invert"
+    assert coerc["shift"] < coerc["measured"]
+    assert coerc["eigen_residual"] <= 1e-8
     assert "PASS" in capsys.readouterr().out
 
 
@@ -108,6 +112,22 @@ def test_verify_flags_small_penalty(tmp_path, capsys):
     flagged = {e["check"]: e["pass"] for e in report}
     assert flagged["coercivity_positive"] is False
     assert "FAIL coercivity_positive" in capsys.readouterr().out
+
+
+def test_verify_eigensolve_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(a, **kw):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((a.shape[0], 0)))
+
+    monkeypatch.setattr("sbmlab.analysis.spla.eigsh", no_convergence)
+    code = cli.main(["verify", "--n0", "12", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: coercivity eigensolve (ARPACK shift-invert, "
+                          "shift -")
+    assert "No convergence" in err
 
 
 def test_verify_checks_distance_bound_when_shifting(tmp_path):
