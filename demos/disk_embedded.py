@@ -31,7 +31,7 @@ system = assemble(mesh, domain, solution, gamma=10.0, quad=quad)
 rep = solve(system)
 err = error_report(mesh, quad, rep.solution, solution)
 print(f"disk, n={n}: dofs={err.dofs} l2={err.err_l2:.4e} "
-      f"h1={err.err_h1:.4e} ({rep.method}, {rep.iterations} iterations)")
+      f"h1={err.err_h1:.4e} ({rep.method}, residual {rep.final_residual:.1e})")
 
 nodal_error = np.abs(np.asarray(solution.eval(mesh.vertices)) - rep.solution)
 write_vtk("disk_solution.vtk", mesh,

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import p1_gradients, p1_values, triangle_rule
+from .assembly import edge_basis, p1_gradients, triangle_rule
 from .linsolve import SolveError
 from .mesh import mesh_params
 
@@ -86,21 +86,10 @@ def _nudged_points(quad, corner):
     return pts
 
 
-def _edge_basis(mesh, quad):
-    """Per boundary edge: owner-triangle vertex ids, P1 gradients (ne, 3, 2)
-    and P1 values at the edge's Gauss points (ne, nq, 3)."""
-    etri = mesh.triangles[mesh.edge_owner]
-    ep = mesh.vertices[etri]
-    return etri, p1_gradients(ep), p1_values(ep[:, None, :, :], quad.points)
-
-
 def _shift_values(mesh, quad, v):
     """Transported nodal field v + grad(v) . d at all boundary Gauss points."""
-    etri, eg, phi = _edge_basis(mesh, quad)
-    vals = v[etri]
-    gh = np.einsum("ek,ekd->ed", vals, eg)
-    return (np.einsum("eqk,ek->eq", phi, vals)
-            + np.einsum("ed,eqd->eq", gh, quad.d))
+    etri, _, _, sh = edge_basis(mesh, quad)
+    return np.einsum("eqk,ek->eq", sh, v[etri])
 
 
 def energy_norm(mesh, quad, v):
@@ -126,8 +115,7 @@ def energy_gram(mesh, quad):
     cols = np.tile(tris, (1, 3)).ravel()
     data = k_loc.ravel()
 
-    etri, eg, phi = _edge_basis(mesh, quad)
-    sh = phi + np.einsum("eid,eqd->eqi", eg, quad.d)
+    etri, _, _, sh = edge_basis(mesh, quad)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)
     rows = np.concatenate([rows, np.repeat(etri, 3, axis=1).ravel()])
@@ -214,7 +202,7 @@ def nonsymmetry_residual(sys, mesh, quad, w, v):
     awv = float(v @ (sys.matrix @ w))
     avw = float(w @ (sys.matrix @ v))
 
-    etri, eg, _ = _edge_basis(mesh, quad)
+    etri, eg, _, _ = edge_basis(mesh, quad)
     gw = np.einsum("ek,ekd->ed", w[etri], eg)
     gv = np.einsum("ek,ekd->ed", v[etri], eg)
     dnw = np.einsum("ed,ed->e", gw, mesh.edge_normal)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .geometry import project_points, assign_sidesets
@@ -131,6 +130,17 @@ def shift_eval(tri_vertices, nodal_values, x_tilde, d):
     return float(phi @ vals + grad @ np.asarray(d, dtype=float))
 
 
+def edge_basis(mesh, quad):
+    """P1 basis of each boundary edge's owner triangle at the edge's Gauss
+    points: vertex ids (ne, 3), gradients (ne, 3, 2), values (ne, nq, 3) and
+    the shift operator phi + grad(phi) . d (ne, nq, 3)."""
+    etri = mesh.triangles[mesh.edge_owner]
+    ep = mesh.vertices[etri]
+    eg = p1_gradients(ep)
+    phi = p1_values(ep[:, None, :, :], quad.points)
+    return etri, eg, phi, phi + np.einsum("eid,eqd->eqi", eg, quad.d)
+
+
 # ---------------------------------------------------------------------------
 # boundary quadrature
 # ---------------------------------------------------------------------------
@@ -219,12 +229,8 @@ def assemble(mesh, domain, sol, gamma, nq_edge=3, quad=None):
     np.add.at(rhs, tris.ravel(), b_loc.ravel())
 
     # boundary terms
-    etri = tris[mesh.edge_owner]                 # (ne, 3)
-    ep = mesh.vertices[etri]                     # (ne, 3, 2)
-    eg = p1_gradients(ep)                        # (ne, 3, 2)
+    etri, eg, phi, sh = edge_basis(mesh, quad)
     dn = np.einsum("eid,ed->ei", eg, mesh.edge_normal)   # (ne, 3)
-    phi = p1_values(ep[:, None, :, :], quad.points)      # (ne, nq, 3)
-    sh = phi + np.einsum("eid,eqd->eqi", eg, quad.d)     # (ne, nq, 3)
     w = quad.weights
     pen = gamma / quad.h_owner                           # (ne,)
 
@@ -258,4 +264,5 @@ def apply_form(sys, w, v):
 
 def write_matrixmarket(sys, path):
     """Dump the system matrix in MatrixMarket coordinate format."""
+    import scipy.io  # only this dump needs it; keeps it out of CLI start-up
     scipy.io.mmwrite(str(path), sys.matrix.tocoo())
