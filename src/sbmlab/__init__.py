@@ -1,15 +1,11 @@
 """Shifted-boundary finite element solver for the 2D Poisson problem."""
 
 from .geometry import (
-    DistanceSample,
     DomainSpec,
     ExactSolution,
     GeometryError,
     Sideset,
-    assign_sideset,
     bind_dirichlet,
-    closest_point,
-    distance_vector,
     domain_by_name,
     make_affine_solution,
     make_corner_domain,
@@ -33,11 +29,8 @@ from .assembly import (
     AssemblyError,
     BoundaryQuadrature,
     SparseSystem,
-    apply_form,
     assemble,
     build_boundary_quadrature,
-    shift_eval,
-    write_matrixmarket,
 )
 from .linsolve import SolveError, SolveReport, solve
 from .analysis import (

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import edge_basis, p1_gradients, triangle_rule
+from .assembly import TRI_RULE_DEG4, edge_basis, p1_gradients
 from .linsolve import SolveError
 from .mesh import mesh_params
 
@@ -48,9 +48,10 @@ def _corner_of(sol):
     return np.asarray(ref["corner"], dtype=float) if "corner" in ref else None
 
 
-def error_norms(mesh, u_h, sol, degree=4):
-    """(L2, H1-seminorm) errors of a nodal field against the exact solution."""
-    bary, wts = triangle_rule(degree)
+def error_norms(mesh, u_h, sol):
+    """(L2, H1-seminorm) errors of a nodal field against the exact solution,
+    with the degree-4 triangle rule."""
+    bary, wts = TRI_RULE_DEG4
     p = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
     areas = mesh.triangle_areas()
     grads = p1_gradients(p)                      # (nt, 3, 2)
@@ -151,13 +152,9 @@ def remainder_norm(mesh, quad, sol):
     return math.sqrt(total)
 
 
-def energy_error(mesh, quad, u_h, sol, degree=4, h1=None):
-    """Energy-norm error: H1 part plus the transported boundary mismatch.
-
-    Pass ``h1`` from ``error_norms`` at the same degree to skip recomputing it.
-    """
-    if h1 is None:
-        _, h1 = error_norms(mesh, u_h, sol, degree)
+def energy_error(mesh, quad, u_h, sol, h1):
+    """Energy-norm error: the H1 part ``h1`` (from ``error_norms``) plus the
+    transported boundary mismatch."""
     pts = _nudged_points(quad, _corner_of(sol))
     flat = pts.reshape(-1, 2)
     shape = pts.shape[:2]
@@ -170,16 +167,16 @@ def energy_error(mesh, quad, u_h, sol, degree=4, h1=None):
     return math.sqrt(h1 * h1 + bnd)
 
 
-def error_report(mesh, quad, u_h, sol, degree=4):
+def error_report(mesh, quad, u_h, sol):
     """Bundle all error measures for one refinement level."""
-    err_l2, err_h1 = error_norms(mesh, u_h, sol, degree)
+    err_l2, err_h1 = error_norms(mesh, u_h, sol)
     h_gamma, h_omega = mesh_params(mesh)
     return ErrorReport(
         h_gamma=h_gamma,
         h_omega=h_omega,
         err_l2=err_l2,
         err_h1=err_h1,
-        err_energy=energy_error(mesh, quad, u_h, sol, degree, h1=err_h1),
+        err_energy=energy_error(mesh, quad, u_h, sol, err_h1),
         remainder=remainder_norm(mesh, quad, sol),
         dofs=mesh.num_vertices,
     )

@@ -87,12 +87,6 @@ TRI_RULE_DEG4 = (
 )
 
 
-def triangle_rule(degree):
-    if degree <= 2:
-        return TRI_RULE_DEG2
-    return TRI_RULE_DEG4
-
-
 # ---------------------------------------------------------------------------
 # P1 element helpers
 # ---------------------------------------------------------------------------
@@ -120,14 +114,6 @@ def p1_values(tri_vertices, x):
     xi = (r[..., 0] * e2[..., 1] - r[..., 1] * e2[..., 0]) / det
     eta = (e1[..., 0] * r[..., 1] - e1[..., 1] * r[..., 0]) / det
     return np.stack([1.0 - xi - eta, xi, eta], axis=-1)
-
-
-def shift_eval(tri_vertices, nodal_values, x_tilde, d):
-    """Transported value v(x) + grad(v) . d of a P1 function on one triangle."""
-    vals = np.asarray(nodal_values, dtype=float)
-    phi = p1_values(tri_vertices, np.asarray(x_tilde, dtype=float))
-    grad = (p1_gradients(tri_vertices) * vals[:, None]).sum(axis=0)
-    return float(phi @ vals + grad @ np.asarray(d, dtype=float))
 
 
 def edge_basis(mesh, quad):
@@ -251,18 +237,3 @@ def assemble(mesh, domain, sol, gamma, nq_edge=3, quad=None):
     matrix.sum_duplicates()
     matrix.sort_indices()
     return SparseSystem(matrix=matrix, rhs=rhs, gamma=float(gamma))
-
-
-def apply_form(sys, w, v):
-    """Evaluate the bilinear form on nodal vectors: v . (A w)."""
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if w.shape != (sys.dim,) or v.shape != (sys.dim,):
-        raise ValueError(f"expected vectors of length {sys.dim}")
-    return float(v @ (sys.matrix @ w))
-
-
-def write_matrixmarket(sys, path):
-    """Dump the system matrix in MatrixMarket coordinate format."""
-    import scipy.io  # only this dump needs it; keeps it out of CLI start-up
-    scipy.io.mmwrite(str(path), sys.matrix.tocoo())

@@ -41,7 +41,7 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:  # also rejects NaN
             raise ConfigError("gamma must be positive")
         if self.n0 < 4:
             raise ConfigError("n0 must be at least 4")
@@ -51,6 +51,10 @@ class RunConfig:
                 "the grid would not pass through the re-entrant corner")
         if self.levels < 1:
             raise ConfigError("levels must be at least 1")
+        if not 0.0 <= self.zeta <= 1.0:
+            raise ConfigError(f"zeta must be in [0, 1], got {self.zeta}")
+        if not self.c_d > 0.0:
+            raise ConfigError(f"c_d must be positive, got {self.c_d}")
         if self.nq_edge < 1:
             raise ConfigError("nq_edge must be at least 1")
         if self.solver_tol <= 0.0:
@@ -115,8 +119,7 @@ def cmd_run(cfg):
     write_vtk(vtk_path, mesh, {"u_h": rep.solution, "abs_error": point_err})
     print(f"domain={cfg.domain} solution={cfg.solution} n={cfg.n0} "
           f"gamma={cfg.gamma}")
-    print(f"solver: {rep.method}, iterations={rep.iterations}, "
-          f"residual={rep.final_residual:.3e}")
+    print(f"solver: {rep.method}, residual={rep.final_residual:.3e}")
     print(f"h_gamma={err.h_gamma:.6e} h_omega={err.h_omega:.6e} "
           f"dofs={err.dofs}")
     print(f"l2={err.err_l2:.6e} h1={err.err_h1:.6e} "
@@ -247,9 +250,10 @@ def _add_common(sub):
     sub.add_argument("--gamma", type=float, help="penalty parameter")
     sub.add_argument("--n0", type=int, help="coarsest subdivisions per axis")
     sub.add_argument("--levels", type=int, help="number of refinement levels")
-    sub.add_argument("--zeta", type=float, help="node-shift exponent")
+    sub.add_argument("--zeta", type=float,
+                     help="node-shift exponent in [0, 1]")
     sub.add_argument("--c-d", dest="c_d", type=float,
-                     help="node-shift coefficient")
+                     help="node-shift coefficient (positive)")
     sub.add_argument("--shift", dest="shift_enabled", action="store_true",
                      default=None, help="enable boundary node shifting")
     sub.add_argument("--nq-edge", dest="nq_edge", type=int,

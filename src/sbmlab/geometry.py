@@ -3,7 +3,7 @@
 The true boundary is described as an ordered loop of parametrized sidesets.
 Every surrogate-boundary edge produced by the mesh module gets assigned to
 exactly one sideset; boundary data is then transported from that sideset
-through the distance vector d(x) = closest_point(x) - x.
+through the distance vector d(x) = p(x) - x to the closest point p(x).
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class ExactSolution:
     grad: Callable
     rhs_f: Callable
     reference: dict
-
-
-@dataclass(frozen=True)
-class DistanceSample:
-    """Projection of a surrogate-boundary point onto its assigned sideset."""
-
-    x_tilde: np.ndarray
-    x: np.ndarray
-    d: np.ndarray
-    sideset_id: int
-    t: float
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +139,6 @@ def project_points(sideset, pts):
     return t, p, dist
 
 
-def closest_point(sideset, x):
-    """Closest point on one sideset to x; returns (t, p, dist)."""
-    x = np.asarray(x, dtype=float)
-    t, p, dist = project_points(sideset, x[None, :])
-    return float(t[0]), p[0], float(dist[0])
-
-
-def distance_vector(x_tilde, sideset):
-    """Distance sample d = p - x_tilde for the projection onto one sideset."""
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    t, p, _ = project_points(sideset, x_tilde[None, :])
-    return DistanceSample(
-        x_tilde=x_tilde,
-        x=p[0],
-        d=p[0] - x_tilde,
-        sideset_id=sideset.sid,
-        t=float(t[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # sideset assignment for surrogate edges
 # ---------------------------------------------------------------------------
@@ -227,14 +196,6 @@ def assign_sidesets(domain, ends_a, ends_b, normals):
                 best_sid, best_f = ss.sid, f
         ids[e] = best_sid
     return ids
-
-
-def assign_sideset(edge_endpoints, edge_normal, domain):
-    """Assign one surrogate edge to a sideset id (see assign_sidesets)."""
-    a, b = edge_endpoints
-    ids = assign_sidesets(domain, np.asarray(a)[None, :], np.asarray(b)[None, :],
-                          np.asarray(edge_normal)[None, :])
-    return int(ids[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ class ShiftConfig:
 
     zeta: float
     c_d: float
-    enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -84,18 +83,9 @@ def _diameters(vertices, triangles):
     return np.maximum(d01, np.maximum(d12, d20))
 
 
-def extract_surrogate_boundary(mesh):
-    """Boundary-edge records of a mesh: (vertex pairs, owner, normal, h_T).
-
-    Edges come in the owning triangle's cycle orientation, so rotating the
-    edge vector clockwise gives the outward normal; h_T is the owning
-    triangle's diameter. Raises on non-manifold connectivity.
-    """
-    ev, eo, en = _boundary_edges(mesh.vertices, mesh.triangles)
-    return ev, eo, en, mesh.h_per_triangle[eo]
-
-
 def _boundary_edges(vertices, triangles):
+    """Edges used by one triangle, in its cycle orientation: (vertex pairs,
+    owners, outward normals). Raises on non-manifold connectivity."""
     nt = triangles.shape[0]
     directed = np.concatenate([triangles[:, [0, 1]],
                                triangles[:, [1, 2]],
@@ -244,10 +234,10 @@ def shift_boundary_nodes(mesh, domain, cfg):
     so each triangle keeps at least 20% of its pre-shift area; if a needed
     move is fully blocked, a MeshError names the vertex.
     """
-    if not cfg.enabled:
-        return mesh
     if not 0.0 <= cfg.zeta <= 1.0:
         raise MeshError(f"zeta must be in [0, 1], got {cfg.zeta}")
+    if not cfg.c_d > 0.0:
+        raise MeshError(f"c_d must be positive, got {cfg.c_d}")
     vertices = mesh.vertices.copy()
     triangles = mesh.triangles
     areas0 = _signed_areas(vertices, triangles)

@@ -85,10 +85,9 @@ def test_error_report_reuses_h1_exactly(problem, request):
     dom, sol, mesh_, quad, system = request.getfixturevalue(problem)
     u_h = linsolve.solve(system).solution
     report = an.error_report(mesh_, quad, u_h, sol)
-    assert report.err_energy == an.energy_error(mesh_, quad, u_h, sol)
     _, h1 = an.error_norms(mesh_, u_h, sol)
     assert report.err_h1 == h1
-    assert an.energy_error(mesh_, quad, u_h, sol, h1=h1) == report.err_energy
+    assert an.energy_error(mesh_, quad, u_h, sol, h1) == report.err_energy
 
 
 # ---------------------------------------------------------------------------

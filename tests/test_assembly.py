@@ -1,6 +1,7 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-import scipy.io
 
 from sbmlab import assembly as asm
 from sbmlab import geometry as geo
@@ -16,25 +17,36 @@ def test_p1_stiffness_unit_right_triangle():
     np.testing.assert_allclose(k, expect, atol=1e-14)
 
 
+def one_triangle_shift(tri, vals, x, d):
+    """edge_basis's shift operator on a one-triangle mesh, contracted with
+    nodal values: v(x) + grad(v) . d for each (x, d) pair on every edge."""
+    m = msh._make_mesh(tri, np.array([[0, 1, 2]]))
+    ne = m.edge_owner.size
+    quad = SimpleNamespace(points=np.broadcast_to(x, (ne,) + x.shape),
+                           d=np.broadcast_to(d, (ne,) + d.shape))
+    etri, _, _, sh = asm.edge_basis(m, quad)
+    return np.einsum("eqk,ek->eq", sh, vals[etri])
+
+
 def test_shift_eval_exact_for_affine(rng):
     tri = np.array([[0.1, 0.2], [0.9, 0.3], [0.4, 1.1]])
     a, b, c = 0.7, -1.3, 2.1
     vals = a + b * tri[:, 0] + c * tri[:, 1]
-    for _ in range(10):
-        x = tri.mean(axis=0) + rng.uniform(-0.1, 0.1, 2)
-        d = rng.uniform(-0.5, 0.5, 2)
-        target = a + b * (x[0] + d[0]) + c * (x[1] + d[1])
-        assert abs(asm.shift_eval(tri, vals, x, d) - target) <= 1e-13
-        assert abs(asm.shift_eval(tri, vals, x, np.zeros(2))
-                   - (a + b * x[0] + c * x[1])) <= 1e-13
+    x = tri.mean(axis=0) + rng.uniform(-0.1, 0.1, (10, 2))
+    d = rng.uniform(-0.5, 0.5, (10, 2))
+    target = a + b * (x[:, 0] + d[:, 0]) + c * (x[:, 1] + d[:, 1])
+    assert np.abs(one_triangle_shift(tri, vals, x, d) - target).max() <= 1e-13
+    assert np.abs(one_triangle_shift(tri, vals, x, np.zeros_like(d))
+                  - (a + b * x[:, 0] + c * x[:, 1])).max() <= 1e-13
 
 
 def test_shift_eval_hat_function_cancellation():
     h = 0.25
     tri = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
     hat = np.array([1.0, 0.0, 0.0])  # gradient (-1/h, -1/h)
-    val = asm.shift_eval(tri, hat, np.array([0.0, 0.0]), np.array([h, 0.0]))
-    assert abs(val) <= 1e-14
+    val = one_triangle_shift(tri, hat, np.array([[0.0, 0.0]]),
+                             np.array([[h, 0.0]]))
+    assert np.abs(val).max() <= 1e-14
 
 
 def classical_nitsche(mesh_, domain, sol, gamma, nq):
@@ -111,11 +123,10 @@ def test_apply_form_basics_and_oracle(corner_problem, rng):
     dom, sol, mesh_, quad, system = corner_problem
     n = system.dim
     zero = np.zeros(n)
-    assert asm.apply_form(system, zero, zero) == 0.0
+    assert zero @ (system.matrix @ zero) == 0.0
     i, j = 3, 17
     ei, ej = np.eye(n)[i], np.eye(n)[j]
-    assert abs(asm.apply_form(system, ej, ei)
-               - system.matrix[i, j]) <= 1e-14
+    assert abs(ei @ (system.matrix @ ej) - system.matrix[i, j]) <= 1e-14
 
     # independent element/edge-loop evaluation of the bilinear form
     def direct_form(w, v):
@@ -148,12 +159,9 @@ def test_apply_form_basics_and_oracle(corner_problem, rng):
     for _ in range(3):
         w = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        got = asm.apply_form(system, w, v)
+        got = v @ (system.matrix @ w)
         want = direct_form(w, v)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
-
-    with pytest.raises(ValueError):
-        asm.apply_form(system, np.zeros(n - 1), zero)
 
 
 def test_affine_consistency_residual():
@@ -177,14 +185,6 @@ def test_boundary_quadrature_invariants(corner_problem, disk_problem):
                 continue
             _, _, dist = geo.project_points(ss, mapped[rows])
             assert dist.max() <= 1e-10
-
-
-def test_matrixmarket_dump(tmp_path, fitted_square_problem):
-    *_, system = fitted_square_problem
-    path = tmp_path / "matrix.mtx"
-    asm.write_matrixmarket(system, path)
-    back = scipy.io.mmread(path).tocsr()
-    assert np.abs(back - system.matrix).max() <= 1e-15
 
 
 def test_gamma_must_be_positive(fitted_square_problem):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ def test_run_writes_vtk_and_report(tmp_path, capsys):
     assert (tmp_path / "corner_n16.vtk").exists()
     l2 = float(out.split("l2=")[1].split()[0])
     assert np.isfinite(l2) and l2 > 0.0
+    solver = [line for line in out.splitlines()
+              if line.startswith("solver:")]
+    assert len(solver) == 1
+    assert re.fullmatch(r"solver: superlu, residual=\S+", solver[0])
+    assert float(solver[0].split("residual=")[1]) <= 1e-10
 
 
 def test_unknown_domain_exits_2(tmp_path, capsys):
@@ -26,6 +32,27 @@ def test_nonpositive_gamma_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--gamma", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "gamma must be positive" in capsys.readouterr().err
+    code = cli.main(["run", "--gamma", "nan", "--out", str(tmp_path)])
+    assert code == 2
+    assert "gamma must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--shift", "--zeta", "2"], "zeta"),
+    (["--shift", "--c-d", "0"], "c_d"),
+    (["--shift", "--c-d", "-1"], "c_d"),
+    (["--zeta", "5", "--c-d", "-3"], "zeta"),
+    (["--c-d", "-3"], "c_d"),
+    (["--shift", "--c-d", "nan"], "c_d"),
+    (["--shift", "--zeta", "nan"], "zeta"),
+])
+def test_bad_shift_parameters_exit_2(flags, field, tmp_path, capsys):
+    code = cli.main(["run", "--domain", "disk", "--solution", "sinsin",
+                     "--n0", "8", *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field} must be")
+    assert not list(tmp_path.iterdir())  # rejected before any work
 
 
 def test_affine_study_reports_exact(tmp_path, capsys):

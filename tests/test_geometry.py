@@ -37,16 +37,16 @@ def test_closest_point_segment():
     # the minimizer locates t only up to sqrt(eps)*dist comparison noise,
     # while the distance itself is quadratically insensitive to it
     square = geo.make_square_domain()
-    t, p, dist = geo.closest_point(square.sidesets[0], np.array([0.3, 0.1]))
-    assert abs(t - 0.3) <= 1e-8
-    np.testing.assert_allclose(p, [0.3, 0.0], atol=1e-8)
-    assert abs(dist - 0.1) <= 1e-12
+    t, p, dist = geo.project_points(square.sidesets[0], [[0.3, 0.1]])
+    assert abs(t[0] - 0.3) <= 1e-8
+    np.testing.assert_allclose(p[0], [0.3, 0.0], atol=1e-8)
+    assert abs(dist[0] - 0.1) <= 1e-12
 
 
 def test_closest_point_arctan_curve_vs_dense_oracle():
     ss = arctan_sideset()
     q = np.array([0.2, -0.05])
-    _, p, dist = geo.closest_point(ss, q)
+    _, (p,), (dist,) = geo.project_points(ss, q[None, :])
     # frozen from the dense-sampling oracle (1e6 parameter samples)
     assert abs(dist - 0.10560314886377963) <= 1e-8
     _, p_ref, d_ref = dense_projection(ss.curve, q)
@@ -57,7 +57,7 @@ def test_closest_point_arctan_curve_vs_dense_oracle():
 def test_closest_point_fixed_point_on_curve():
     ss = arctan_sideset()
     q = ss.curve(np.array([0.37]))[0]
-    _, p, dist = geo.closest_point(ss, q)
+    _, (p,), (dist,) = geo.project_points(ss, q[None, :])
     assert dist <= 1e-12
     np.testing.assert_allclose(p, q, atol=1e-10)
 
@@ -68,7 +68,7 @@ def test_projection_optimality(rng):
     curve_pts = ss.curve(ts)
     for q in ([0.2, -0.05], [-0.4, 0.3], [0.0, -0.7]):
         q = np.array(q)
-        _, _, dist = geo.closest_point(ss, q)
+        _, _, (dist,) = geo.project_points(ss, q[None, :])
         others = np.hypot(curve_pts[:, 0] - q[0], curve_pts[:, 1] - q[1])
         assert dist <= others.min() + 1e-10
 
@@ -79,26 +79,29 @@ def test_projection_optimality(rng):
 
 def test_distance_vector_square_bottom():
     square = geo.make_square_domain()
-    ds = geo.distance_vector(np.array([0.3, 0.1]), square.sidesets[0])
-    np.testing.assert_allclose(ds.d, [0.0, -0.1], atol=1e-8)
-    assert abs(np.linalg.norm(ds.d) - 0.1) <= 1e-12
-    np.testing.assert_array_equal(ds.d, ds.x - ds.x_tilde)
+    x_tilde = np.array([0.3, 0.1])
+    _, (x,), _ = geo.project_points(square.sidesets[0], x_tilde[None, :])
+    d = x - x_tilde
+    np.testing.assert_allclose(d, [0.0, -0.1], atol=1e-8)
+    assert abs(np.linalg.norm(d) - 0.1) <= 1e-12
 
 
 def test_distance_vector_on_boundary_is_zero():
     square = geo.make_square_domain()
-    ds = geo.distance_vector(np.array([0.5, 0.0]), square.sidesets[0])
-    assert np.linalg.norm(ds.d) <= 1e-12
+    x_tilde = np.array([0.5, 0.0])
+    _, (x,), _ = geo.project_points(square.sidesets[0], x_tilde[None, :])
+    assert np.linalg.norm(x - x_tilde) <= 1e-12
 
 
 def test_distance_vector_corner_branch_vs_oracle():
     dom = geo.make_corner_domain()
     right = dom.sidesets[1]
     q = np.array([0.2, -0.15])
-    ds = geo.distance_vector(q, right)
+    _, (x,), _ = geo.project_points(right, q[None, :])
+    d = x - q
     _, p_ref, d_ref = dense_projection(right.curve, q)
-    assert abs(np.linalg.norm(ds.d) - d_ref) <= 1e-8
-    np.testing.assert_allclose(ds.d, p_ref - q, atol=1e-8)
+    assert abs(np.linalg.norm(d) - d_ref) <= 1e-8
+    np.testing.assert_allclose(d, p_ref - q, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +110,8 @@ def test_distance_vector_corner_branch_vs_oracle():
 
 def test_assign_case1_single_sideset():
     square = geo.make_square_domain()
-    sid = geo.assign_sideset((np.array([0.2, 0.05]), np.array([0.4, 0.05])),
-                             np.array([0.0, -1.0]), square)
+    sid, = geo.assign_sidesets(square, [[0.2, 0.05]], [[0.4, 0.05]],
+                               [[0.0, -1.0]])
     assert sid == 1  # bottom
 
 
@@ -117,8 +120,7 @@ def test_assign_case2_weighted_normals():
     # f(top) = 2 * 0.07/|(0.1,0.07)| = 1.147
     square = geo.make_square_domain()
     nrm = np.array([0.1, 0.07]) / np.hypot(0.1, 0.07)
-    sid = geo.assign_sideset((np.array([0.92, 0.8]), np.array([0.85, 0.9])),
-                             nrm, square)
+    sid, = geo.assign_sidesets(square, [[0.92, 0.8]], [[0.85, 0.9]], [nrm])
     assert sid == 2  # right
 
 
@@ -127,20 +129,18 @@ def test_assign_case3_projection_on_corner():
     # leans toward the right side, which must win the tie-break formula
     square = geo.make_square_domain()
     nrm = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
-    sid = geo.assign_sideset((np.array([0.9, 0.9]), np.array([0.93, 0.93])),
-                             nrm, square)
+    sid, = geo.assign_sidesets(square, [[0.9, 0.9]], [[0.93, 0.93]], [nrm])
     assert sid == 2
 
 
 def test_assign_translation_invariance(rng):
-    edge = (np.array([0.92, 0.8]), np.array([0.85, 0.9]))
+    a, b = np.array([0.92, 0.8]), np.array([0.85, 0.9])
     nrm = np.array([0.1, 0.07]) / np.hypot(0.1, 0.07)
-    base = geo.assign_sideset(edge, nrm, geo.make_square_domain())
+    base, = geo.assign_sidesets(geo.make_square_domain(), [a], [b], [nrm])
     for _ in range(20):
         shift = rng.uniform(-50.0, 50.0, 2)
         moved = geo.make_square_domain(lo=shift, hi=shift + 1.0)
-        sid = geo.assign_sideset((edge[0] + shift, edge[1] + shift), nrm,
-                                 moved)
+        sid, = geo.assign_sidesets(moved, [a + shift], [b + shift], [nrm])
         assert sid == base
 
 

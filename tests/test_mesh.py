@@ -102,25 +102,12 @@ def test_boundary_edges_belong_to_owner_and_point_outward():
     assert (np.einsum("ed,ed->e", m.edge_normal, centroids - mids) < 0).all()
 
 
-def test_extract_surrogate_boundary_records():
-    disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
-    ev, eo, en, h_owner = msh.extract_surrogate_boundary(m)
-    np.testing.assert_array_equal(ev, m.edge_vertices)
-    np.testing.assert_array_equal(eo, m.edge_owner)
-    np.testing.assert_allclose(en, m.edge_normal, atol=0)
-    np.testing.assert_allclose(h_owner, m.h_per_triangle[m.edge_owner],
-                               atol=0)
-
-
 def test_nonmanifold_edge_rejected():
-    from dataclasses import replace
-
     dom = geo.make_square_domain()
     good = msh.restrict_to_domain(msh.build_background(dom.bbox, 2), dom)
     bad = np.vstack([good.triangles, good.triangles[:1]])
     with pytest.raises(MeshError, match="non-manifold"):
-        msh.extract_surrogate_boundary(replace(good, triangles=bad))
+        msh._boundary_edges(good.vertices, bad)
 
 
 def test_surrogate_perimeter_near_circle():
@@ -151,11 +138,20 @@ def test_mesh_params_uniform_and_halving():
 def test_shift_inactive_configurations():
     disk = geo.make_disk_domain()
     m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
-    same = msh.shift_boundary_nodes(m, disk, ShiftConfig(0.5, 1.0,
-                                                         enabled=False))
-    assert same is m
     huge = msh.shift_boundary_nodes(m, disk, ShiftConfig(0.0, 100.0))
     np.testing.assert_array_equal(huge.vertices, m.vertices)
+
+
+@pytest.mark.parametrize("cfg,field", [(ShiftConfig(2.0, 1.0), "zeta"),
+                                       (ShiftConfig(-0.5, 1.0), "zeta"),
+                                       (ShiftConfig(0.5, 0.0), "c_d"),
+                                       (ShiftConfig(0.5, -1.0), "c_d"),
+                                       (ShiftConfig(0.5, np.nan), "c_d")])
+def test_shift_rejects_bad_parameters(cfg, field):
+    disk = geo.make_disk_domain()
+    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    with pytest.raises(MeshError, match=field):
+        msh.shift_boundary_nodes(m, disk, cfg)
 
 
 def test_shift_enforces_distance_bound():
