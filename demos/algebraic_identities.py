@@ -26,8 +26,8 @@ from sbmlab import (
 solution = make_corner_solution()
 domain = bind_dirichlet(make_corner_domain(), solution)
 mesh = restrict_to_domain(build_background(domain.bbox, 12), domain)
-quad = build_boundary_quadrature(mesh, domain, solution)
-system = assemble(mesh, domain, solution, gamma=10.0, quad=quad)
+quad = build_boundary_quadrature(mesh, domain)
+system = assemble(mesh, quad, solution, gamma=10.0)
 
 rng = np.random.default_rng(1)
 worst = max(
@@ -37,7 +37,7 @@ worst = max(
 print(f"exchange identity, worst relative defect over 50 pairs: {worst:.2e}")
 
 for gamma in (10.0, 0.01):
-    sys_g = assemble(mesh, domain, solution, gamma, quad=quad)
+    sys_g = assemble(mesh, quad, solution, gamma)
     alpha = coercivity_estimate(sys_g, mesh, quad)
     print(f"coercivity at gamma={gamma:<5}: alpha_min = {alpha:+.4e}")
 
@@ -45,8 +45,8 @@ affine = make_affine_solution(0.3, 0.7, -0.4)
 affine_domain = bind_dirichlet(make_corner_domain(), affine)
 amesh = restrict_to_domain(build_background(affine_domain.bbox, 12),
                            affine_domain)
-aquad = build_boundary_quadrature(amesh, affine_domain, affine)
-asys = assemble(amesh, affine_domain, affine, gamma=10.0, quad=aquad)
+aquad = build_boundary_quadrature(amesh, affine_domain)
+asys = assemble(amesh, aquad, affine, gamma=10.0)
 arep = solve(asys)
 l2, h1 = error_norms(amesh, arep.solution, affine)
 print(f"affine patch test: l2={l2:.2e} h1={h1:.2e} "

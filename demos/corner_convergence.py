@@ -33,8 +33,8 @@ reports = []
 for level in range(levels):
     n = 20 * 2 ** level
     mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-    quad = build_boundary_quadrature(mesh, domain, solution)
-    system = assemble(mesh, domain, solution, gamma, quad=quad)
+    quad = build_boundary_quadrature(mesh, domain)
+    system = assemble(mesh, quad, solution, gamma)
     rep = solve(system)
     err = error_report(mesh, quad, rep.solution, solution)
     reports.append(err)

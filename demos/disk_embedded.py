@@ -14,7 +14,7 @@ Run:  python demos/disk_embedded.py
 import numpy as np
 
 from sbmlab import (
-    ShiftConfig, assemble, bind_dirichlet, build_background,
+    assemble, bind_dirichlet, build_background,
     build_boundary_quadrature, error_report, make_disk_domain,
     make_sinsin_solution, remainder_norm, restrict_to_domain,
     shift_boundary_nodes, solve, write_vtk,
@@ -26,8 +26,8 @@ domain = bind_dirichlet(make_disk_domain(), solution)
 # one unfitted solve with output fields
 n = 64
 mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-quad = build_boundary_quadrature(mesh, domain, solution)
-system = assemble(mesh, domain, solution, gamma=10.0, quad=quad)
+quad = build_boundary_quadrature(mesh, domain)
+system = assemble(mesh, quad, solution, gamma=10.0)
 rep = solve(system)
 err = error_report(mesh, quad, rep.solution, solution)
 print(f"disk, n={n}: dofs={err.dofs} l2={err.err_l2:.4e} "
@@ -43,7 +43,7 @@ print("\ntransport defect |h^-1/2 (gbar - u - grad u . d)| under refinement:")
 prev = None
 for n in (16, 32, 64, 128):
     mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-    quad = build_boundary_quadrature(mesh, domain, solution)
+    quad = build_boundary_quadrature(mesh, domain)
     value = remainder_norm(mesh, quad, solution)
     rate = "" if prev is None else f" (rate {np.log2(prev / value):.2f})"
     print(f"  n={n:4d}: {value:.4e}{rate}")
@@ -53,10 +53,10 @@ for n in (16, 32, 64, 128):
 print("\nnode shifting with zeta=0.5, c_d=1:")
 for n in (8, 16, 32):
     mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
-    raw = build_boundary_quadrature(mesh, domain, solution)
+    raw = build_boundary_quadrature(mesh, domain)
     before = (np.linalg.norm(raw.d, axis=-1) / raw.h_owner[:, None] ** 1.5).max()
-    shifted = shift_boundary_nodes(mesh, domain, ShiftConfig(zeta=0.5, c_d=1.0))
-    squad = build_boundary_quadrature(shifted, domain, solution)
+    shifted = shift_boundary_nodes(mesh, domain, zeta=0.5, c_d=1.0)
+    squad = build_boundary_quadrature(shifted, domain)
     after = (np.linalg.norm(squad.d, axis=-1)
              / squad.h_owner[:, None] ** 1.5).max()
     print(f"  n={n:3d}: max |d|/h^1.5  raw {before:7.3f}  ->  "

@@ -17,7 +17,6 @@ from .geometry import (
 )
 from .mesh import (
     MeshError,
-    ShiftConfig,
     TriMesh,
     build_background,
     mesh_params,

@@ -141,12 +141,7 @@ def remainder_norm(mesh, quad, sol):
     shape = pts.shape[:2]
     u = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
     g = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
-    if quad.gbar is not None:
-        gbar = quad.gbar
-    else:
-        gbar = np.asarray(sol.eval((pts + quad.d).reshape(-1, 2)),
-                          dtype=float).reshape(shape)
-    defect = gbar - (u + np.einsum("eqd,eqd->eq", g, quad.d))
+    defect = quad.gbar - (u + np.einsum("eqd,eqd->eq", g, quad.d))
     total = float(np.einsum("eq,eq,e->", defect ** 2, quad.weights,
                             1.0 / quad.h_owner))
     return math.sqrt(total)

@@ -11,7 +11,6 @@ Dirichlet datum gbar(x) = g(closest point on the assigned sideset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,15 +40,14 @@ class BoundaryQuadrature:
     """Gauss-Legendre quadrature along every surrogate-boundary edge.
 
     Arrays are indexed (edge, quadrature point); ``d`` holds the distance
-    vectors to the assigned sideset, ``gbar`` the mapped Dirichlet values
-    (None when built without a solution). Weights per edge sum to the edge
-    length.
+    vectors to the assigned sideset, ``gbar`` the mapped Dirichlet values.
+    Weights per edge sum to the edge length.
     """
 
     points: np.ndarray        # (ne, nq, 2)
     weights: np.ndarray       # (ne, nq)
     d: np.ndarray             # (ne, nq, 2)
-    gbar: Optional[np.ndarray]  # (ne, nq) or None
+    gbar: np.ndarray          # (ne, nq)
     sideset_id: np.ndarray    # (ne,)
     h_owner: np.ndarray       # (ne,)
     lengths: np.ndarray       # (ne,)
@@ -131,14 +129,17 @@ def edge_basis(mesh, quad):
 # boundary quadrature
 # ---------------------------------------------------------------------------
 
-def build_boundary_quadrature(mesh, domain, sol=None, nq_edge=3):
+def build_boundary_quadrature(mesh, domain, nq_edge=3):
     """Assign sidesets to all boundary edges and sample distance vectors.
 
     Each edge's Gauss points are projected onto the edge's assigned sideset
-    (projections are batched per sideset). When ``sol`` is given or the
-    sidesets carry a Dirichlet datum, the mapped boundary values gbar are
-    sampled as well.
+    (projections are batched per sideset), and the mapped boundary values
+    gbar are read from that sideset's Dirichlet datum
+    (``geometry.bind_dirichlet``). A sideset without a datum raises.
     """
+    for ss in domain.sidesets:
+        if ss.dirichlet_g is None:
+            raise AssemblyError(f"sideset {ss.sid} has no Dirichlet datum")
     a = mesh.vertices[mesh.edge_vertices[:, 0]]
     b = mesh.vertices[mesh.edge_vertices[:, 1]]
     ids = assign_sidesets(domain, a, b, mesh.edge_normal)
@@ -150,7 +151,7 @@ def build_boundary_quadrature(mesh, domain, sol=None, nq_edge=3):
 
     ne, nq = points.shape[0], nq_edge
     d = np.empty((ne, nq, 2))
-    gbar = np.empty((ne, nq)) if (sol is not None or _has_datum(domain)) else None
+    gbar = np.empty((ne, nq))
     for ss in domain.sidesets:
         rows = np.nonzero(ids == ss.sid)[0]
         if rows.size == 0:
@@ -158,12 +159,7 @@ def build_boundary_quadrature(mesh, domain, sol=None, nq_edge=3):
         flat = points[rows].reshape(-1, 2)
         t, p, _ = project_points(ss, flat)
         d[rows] = (p - flat).reshape(-1, nq, 2)
-        if gbar is not None:
-            if ss.dirichlet_g is not None:
-                g = np.asarray(ss.dirichlet_g(t), dtype=float)
-            else:
-                g = np.asarray(sol.eval(p), dtype=float)
-            gbar[rows] = g.reshape(-1, nq)
+        gbar[rows] = np.asarray(ss.dirichlet_g(t), dtype=float).reshape(-1, nq)
 
     return BoundaryQuadrature(points=points, weights=weights, d=d, gbar=gbar,
                               sideset_id=ids,
@@ -171,28 +167,20 @@ def build_boundary_quadrature(mesh, domain, sol=None, nq_edge=3):
                               lengths=lengths)
 
 
-def _has_datum(domain):
-    return all(ss.dirichlet_g is not None for ss in domain.sidesets)
-
-
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
 
-def assemble(mesh, domain, sol, gamma, nq_edge=3, quad=None):
+def assemble(mesh, quad, sol, gamma):
     """Assemble matrix and right-hand side of the discrete problem.
 
     A[i, j] applies the bilinear form to (trial phi_j, test phi_i). The
-    interior stiffness is exact for P1; the source term uses the degree-2
-    triangle rule; boundary terms use nq_edge Gauss points per edge with
-    the distance vector and mapped datum evaluated pointwise.
+    interior stiffness is exact for P1; the source term (``sol.rhs_f``)
+    uses the degree-2 triangle rule; boundary terms use the Gauss points of
+    ``quad`` with the distance vector and mapped datum evaluated pointwise.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # also rejects NaN
         raise AssemblyError(f"gamma must be positive, got {gamma}")
-    if quad is None:
-        quad = build_boundary_quadrature(mesh, domain, sol, nq_edge)
-    if quad.gbar is None:
-        raise AssemblyError("boundary quadrature lacks Dirichlet values")
 
     nv = mesh.num_vertices
     tris = mesh.triangles

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import analysis, assembly, geometry, linsolve
 from .geometry import GeometryError
-from .mesh import MeshError, ShiftConfig, build_background, \
-    restrict_to_domain, shift_boundary_nodes, write_vtk
+from .mesh import MeshError, build_background, restrict_to_domain, \
+    shift_boundary_nodes, write_vtk
 
 
 class ConfigError(Exception):
@@ -57,7 +57,7 @@ class RunConfig:
             raise ConfigError(f"c_d must be positive, got {self.c_d}")
         if self.nq_edge < 1:
             raise ConfigError("nq_edge must be at least 1")
-        if self.solver_tol <= 0.0:
+        if not self.solver_tol > 0.0:  # also rejects NaN
             raise ConfigError("solver tolerance must be positive")
 
 
@@ -66,15 +66,26 @@ def load_config(path=None, overrides=None):
     if path is not None:
         try:
             with open(path) as fh:
-                values.update(json.load(fh))
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    unknown = set(values) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        want = types[key]
+        # a bool is not a number here, and an int is a valid float
+        if (isinstance(value, bool) != (want is bool) or not isinstance(
+                value, (int, float) if want is float else want)):
+            raise ConfigError(f"config key {key!r} must be {want.__name__}, "
+                              f"got {value!r}")
+        if want is float:
+            values[key] = float(value)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -94,10 +105,9 @@ def _discretize(cfg, domain, sol, n, shift=False):
     """Surrogate mesh (node-shifted if ``shift``), quadrature and system."""
     mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
     if shift:
-        mesh = shift_boundary_nodes(
-            mesh, domain, ShiftConfig(zeta=cfg.zeta, c_d=cfg.c_d))
-    quad = assembly.build_boundary_quadrature(mesh, domain, sol, cfg.nq_edge)
-    system = assembly.assemble(mesh, domain, sol, cfg.gamma, cfg.nq_edge, quad)
+        mesh = shift_boundary_nodes(mesh, domain, cfg.zeta, cfg.c_d)
+    quad = assembly.build_boundary_quadrature(mesh, domain, cfg.nq_edge)
+    system = assembly.assemble(mesh, quad, sol, cfg.gamma)
     return mesh, quad, system
 
 

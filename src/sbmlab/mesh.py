@@ -21,14 +21,6 @@ class MeshError(Exception):
 
 
 @dataclass(frozen=True)
-class ShiftConfig:
-    """Node-shift control: pull boundary vertices until dist <= c_d * h^(1+zeta)."""
-
-    zeta: float
-    c_d: float
-
-
-@dataclass(frozen=True)
 class TriMesh:
     """Triangulation with precomputed surrogate-boundary data.
 
@@ -199,15 +191,6 @@ def _global_projection(domain, pts):
     return best_p, best_d
 
 
-def _incidence_lists(mesh, vertex_ids):
-    lists = {int(v): [] for v in vertex_ids}
-    for t, tri in enumerate(mesh.triangles):
-        for v in tri:
-            if int(v) in lists:
-                lists[int(v)].append(t)
-    return lists
-
-
 def _damped_move(vertices, triangles, areas0, incident, v, target):
     """Move vertex v toward target, bisecting until incident areas stay
     above the floor; returns the achieved fraction of the move."""
@@ -223,7 +206,7 @@ def _damped_move(vertices, triangles, areas0, incident, v, target):
     return 0.0
 
 
-def shift_boundary_nodes(mesh, domain, cfg):
+def shift_boundary_nodes(mesh, domain, zeta, c_d):
     """Pull surrogate-boundary vertices toward the true boundary.
 
     Vertices farther from the boundary than c_d * h^(1+zeta) (h = largest
@@ -234,15 +217,19 @@ def shift_boundary_nodes(mesh, domain, cfg):
     so each triangle keeps at least 20% of its pre-shift area; if a needed
     move is fully blocked, a MeshError names the vertex.
     """
-    if not 0.0 <= cfg.zeta <= 1.0:
-        raise MeshError(f"zeta must be in [0, 1], got {cfg.zeta}")
-    if not cfg.c_d > 0.0:
-        raise MeshError(f"c_d must be positive, got {cfg.c_d}")
+    if not 0.0 <= zeta <= 1.0:
+        raise MeshError(f"zeta must be in [0, 1], got {zeta}")
+    if not c_d > 0.0:
+        raise MeshError(f"c_d must be positive, got {c_d}")
     vertices = mesh.vertices.copy()
     triangles = mesh.triangles
+    nv = mesh.num_vertices
     areas0 = _signed_areas(vertices, triangles)
     bverts = mesh.boundary_vertex_ids()
-    incident = _incidence_lists(mesh, bverts)
+    # CSR incidence: the triangles of vertex v are tri_of[start[v]:start[v+1]]
+    order = np.argsort(triangles.ravel(), kind="stable")
+    start = np.searchsorted(triangles.ravel()[order], np.arange(nv + 1))
+    tri_of = order // 3
 
     # edge samples: endpoints, uniform fill and the Gauss nodes later used
     # by the boundary quadrature, so the post-check cannot see worse points
@@ -253,50 +240,48 @@ def shift_boundary_nodes(mesh, domain, cfg):
         # diameters shrink when neighboring vertices converge on the
         # boundary, so the bound follows the current geometry
         h_cur = _diameters(vertices, triangles)
-        bound = cfg.c_d * h_cur[mesh.edge_owner] ** (1.0 + cfg.zeta)
+        bound = c_d * h_cur[mesh.edge_owner] ** (1.0 + zeta)
         a = vertices[mesh.edge_vertices[:, 0]]
         b = vertices[mesh.edge_vertices[:, 1]]
         samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
         _, dist = _global_projection(domain, samples.reshape(-1, 2))
         return dist.reshape(len(a), taus.size).max(axis=1) - bound
 
-    blocked = set()
+    blocked = np.zeros(nv, dtype=bool)
     for round_ in range(_SHIFT_ROUNDS):
         excess = edge_excess()
         if round_ > 0 and np.all(excess <= 1e-11):
             break
 
-        pull = {int(v): 0.0 for v in bverts}
+        # one projection per round: a vertex moves only in its own step, so
+        # its round-start projection is the one it moves along
+        proj, vdist = _global_projection(domain, vertices[bverts])
+        pull = np.zeros(nv)
         if round_ == 0:
             # first pass: move each vertex onto its own distance bound
-            h_cur = _diameters(vertices, triangles)
-            vp = vertices[bverts]
-            proj, vdist = _global_projection(domain, vp)
-            for k, v in enumerate((int(b) for b in bverts)):
-                h_v = h_cur[incident[v]].max()
-                over = vdist[k] - cfg.c_d * h_v ** (1.0 + cfg.zeta)
-                if over > 0.0:
-                    pull[v] = max(pull[v], over)
-        for e in np.nonzero(excess > 1e-11)[0]:
-            for v in mesh.edge_vertices[e]:
-                pull[int(v)] = max(pull[int(v)], float(excess[e]))
-        if all(p <= 0.0 for p in pull.values()):
+            h_v = np.zeros(nv)
+            np.maximum.at(h_v, triangles.ravel(),
+                          np.repeat(_diameters(vertices, triangles), 3))
+            pull[bverts] = np.maximum(
+                vdist - c_d * h_v[bverts] ** (1.0 + zeta), 0.0)
+        hot = excess > 1e-11
+        np.maximum.at(pull, mesh.edge_vertices[hot].ravel(),
+                      np.repeat(excess[hot], 2))
+        if not np.any(pull > 0.0):
             break
 
         moved = False
-        for v in sorted(pull):
-            amount = pull[v]
-            if amount <= 0.0:
+        for k in np.nonzero(pull[bverts] > 0.0)[0]:
+            v = bverts[k]
+            if vdist[k] <= 1e-15:
                 continue
-            proj, vdist = _global_projection(domain, vertices[v][None, :])
-            if vdist[0] <= 1e-15:
-                continue
-            direction = (proj[0] - vertices[v]) / vdist[0]
-            step = min(amount, float(vdist[0]))
-            frac = _damped_move(vertices, triangles, areas0, incident[v], v,
+            direction = (proj[k] - vertices[v]) / vdist[k]
+            step = min(pull[v], vdist[k])
+            frac = _damped_move(vertices, triangles, areas0,
+                                tri_of[start[v]:start[v + 1]], v,
                                 vertices[v] + step * direction)
             if frac == 0.0:
-                blocked.add(v)
+                blocked[v] = True
             else:
                 moved = True
         if not moved:
@@ -304,10 +289,9 @@ def shift_boundary_nodes(mesh, domain, cfg):
 
     excess = edge_excess()
     if np.any(excess > 1e-9):
-        e = int(np.argmax(excess))
-        culprit = int(mesh.edge_vertices[e, 0])
-        if blocked:
-            culprit = sorted(blocked)[0]
+        stuck = np.flatnonzero(blocked)
+        culprit = (stuck[0] if stuck.size
+                   else mesh.edge_vertices[np.argmax(excess), 0])
         raise MeshError(
             f"cannot satisfy distance bound near vertex {culprit} "
             f"(excess {float(excess.max()):.3e}) without violating the area floor")

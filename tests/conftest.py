@@ -9,8 +9,8 @@ def make_problem(domain_name, solution_name, n, gamma=10.0, nq_edge=3):
     sol = geometry.solution_by_name(solution_name)
     dom = geometry.bind_dirichlet(geometry.domain_by_name(domain_name), sol)
     msh = mesh.restrict_to_domain(mesh.build_background(dom.bbox, n), dom)
-    quad = assembly.build_boundary_quadrature(msh, dom, sol, nq_edge)
-    system = assembly.assemble(msh, dom, sol, gamma, nq_edge, quad)
+    quad = assembly.build_boundary_quadrature(msh, dom, nq_edge)
+    system = assembly.assemble(msh, quad, sol, gamma)
     return dom, sol, msh, quad, system
 
 

@@ -143,7 +143,7 @@ def remainder_series(domain_name, solution_name, ns):
     series = []
     for n in ns:
         mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
-        quad = build_boundary_quadrature(mesh_, dom, sol, 3)
+        quad = build_boundary_quadrature(mesh_, dom, 3)
         series.append((msh.mesh_params(mesh_)[1],
                        an.remainder_norm(mesh_, quad, sol)))
     return an.fit_rates(series).fitted_slope
@@ -176,8 +176,8 @@ def test_criterion_4_algebraic_identity_suite(corner_problem,
     affine = geo.make_affine_solution(0.3, 0.7, -0.4)
     adom = geo.bind_dirichlet(geo.domain_by_name("corner"), affine)
     amesh = msh.restrict_to_domain(msh.build_background(adom.bbox, 12), adom)
-    aquad = build_boundary_quadrature(amesh, adom, affine, 3)
-    asys = assemble(amesh, adom, affine, 10.0, 3, aquad)
+    aquad = build_boundary_quadrature(amesh, adom, 3)
+    asys = assemble(amesh, aquad, affine, 10.0)
     arep = linsolve.solve(asys)
     patch = max(an.error_norms(amesh, arep.solution, affine))
     remainder = an.remainder_norm(amesh, aquad, affine)
@@ -208,9 +208,8 @@ def test_criterion_5_distance_smallness_enforcement():
     for n in (8, 16, 32):
         mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
         areas0 = mesh_.triangle_areas()
-        shifted = msh.shift_boundary_nodes(
-            mesh_, dom, msh.ShiftConfig(zeta=0.5, c_d=1.0))
-        quad = build_boundary_quadrature(shifted, dom, sol, 3)
+        shifted = msh.shift_boundary_nodes(mesh_, dom, zeta=0.5, c_d=1.0)
+        quad = build_boundary_quadrature(shifted, dom, 3)
         ratios.append(float((np.linalg.norm(quad.d, axis=-1)
                              / quad.h_owner[:, None] ** 1.5).max()))
         area_floors.append(float((shifted.triangle_areas() / areas0).min()))

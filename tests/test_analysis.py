@@ -98,7 +98,7 @@ def test_remainder_vanishes_for_affine():
     sol = geo.make_affine_solution(0.4, 0.9, -0.3)
     dom = geo.bind_dirichlet(geo.domain_by_name("corner"), sol)
     mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 12), dom)
-    quad = build_boundary_quadrature(mesh_, dom, sol, 3)
+    quad = build_boundary_quadrature(mesh_, dom, 3)
     assert an.remainder_norm(mesh_, quad, sol) <= 1e-12
 
 
@@ -126,7 +126,7 @@ def test_remainder_decays_on_disk():
     values = []
     for n in (16, 32):
         mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
-        quad = build_boundary_quadrature(mesh_, dom, sol, 3)
+        quad = build_boundary_quadrature(mesh_, dom, 3)
         values.append(an.remainder_norm(mesh_, quad, sol))
     assert values[0] / values[1] >= 2.0 - 0.2
 

@@ -105,8 +105,8 @@ def test_quadrature_consistency_with_constant_d():
     dom = geo.bind_dirichlet(
         geo.make_square_domain(bbox=(-0.3, -0.3, 1.3, 1.3)), sol)
     mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 10), dom)
-    quad3 = asm.build_boundary_quadrature(mesh_, dom, sol, 3)
-    quad6 = asm.build_boundary_quadrature(mesh_, dom, sol, 6)
+    quad3 = asm.build_boundary_quadrature(mesh_, dom, 3)
+    quad6 = asm.build_boundary_quadrature(mesh_, dom, 6)
     spread = np.linalg.norm(quad3.d - quad3.d[:, :1, :], axis=-1)
     assert spread.max() <= 1e-9
     d_edge = quad3.d[:, 1, :]
@@ -114,8 +114,8 @@ def test_quadrature_consistency_with_constant_d():
                                              quad3.d.shape))
     quad6 = replace(quad6, d=np.broadcast_to(d_edge[:, None, :],
                                              quad6.d.shape))
-    a3 = asm.assemble(mesh_, dom, sol, 10.0, 3, quad3).matrix
-    a6 = asm.assemble(mesh_, dom, sol, 10.0, 6, quad6).matrix
+    a3 = asm.assemble(mesh_, quad3, sol, 10.0).matrix
+    a6 = asm.assemble(mesh_, quad6, sol, 10.0).matrix
     assert np.abs(a3 - a6).max() <= 1e-10
 
 
@@ -188,9 +188,25 @@ def test_boundary_quadrature_invariants(corner_problem, disk_problem):
 
 
 def test_gamma_must_be_positive(fitted_square_problem):
-    dom, sol, mesh_, quad, _ = fitted_square_problem
-    with pytest.raises(asm.AssemblyError, match="gamma"):
-        asm.assemble(mesh_, dom, sol, 0.0, 3, quad)
+    _, sol, mesh_, quad, _ = fitted_square_problem
+    for gamma in (0.0, -1.0, np.nan):
+        with pytest.raises(asm.AssemblyError, match="gamma"):
+            asm.assemble(mesh_, quad, sol, gamma)
+
+
+def test_quadrature_requires_dirichlet_datum():
+    from dataclasses import replace
+
+    dom = geo.make_corner_domain()
+    mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 8), dom)
+    with pytest.raises(asm.AssemblyError, match="sideset 1 has no Dirichlet"):
+        asm.build_boundary_quadrature(mesh_, dom)
+    bound = geo.bind_dirichlet(dom, geo.make_corner_solution())
+    lid_unbound = replace(bound, sidesets=tuple(
+        replace(ss, dirichlet_g=None) if ss.sid == 4 else ss
+        for ss in bound.sidesets))
+    with pytest.raises(asm.AssemblyError, match="sideset 4 has no Dirichlet"):
+        asm.build_boundary_quadrature(mesh_, lid_unbound)
 
 
 def test_csr_layout(corner_problem):

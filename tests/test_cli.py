@@ -37,6 +37,14 @@ def test_nonpositive_gamma_exits_2(tmp_path, capsys):
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+def test_nonpositive_tol_exits_2(tol, tmp_path, capsys):
+    code = cli.main(["run", f"--tol={tol}", "--out", str(tmp_path)])
+    assert code == 2
+    assert "solver tolerance must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # rejected before any work
+
+
 @pytest.mark.parametrize("flags,field", [
     (["--shift", "--zeta", "2"], "zeta"),
     (["--shift", "--c-d", "0"], "c_d"),
@@ -170,11 +178,33 @@ def test_verify_checks_distance_bound_when_shifting(tmp_path):
 
 def test_config_file_with_overrides(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"domain": "disk", "n0": 8, "gamma": 4.0}))
+    path.write_text(json.dumps({"domain": "disk", "n0": 8, "gamma": 4}))
     cfg = cli.load_config(str(path), {"n0": 16})
     assert cfg.domain == "disk"
     assert cfg.n0 == 16
-    assert cfg.gamma == 4.0
+    assert cfg.gamma == 4.0 and type(cfg.gamma) is float  # an int is a float
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"n0": "20"}', "'n0' must be int"),
+    ('{"n0": 20.5}', "'n0' must be int"),
+    ('{"n0": true}', "'n0' must be int"),
+    ('{"shift_enabled": "no"}', "'shift_enabled' must be bool"),
+    ('{"shift_enabled": 1}', "'shift_enabled' must be bool"),
+    ('{"gamma": "10"}', "'gamma' must be float"),
+    ('{"gamma": false}', "'gamma' must be float"),
+    ('{"domain": 3}', "'domain' must be str"),
+    ('[{"n0": 20}]', "must hold a JSON object"),
+])
+def test_config_value_types_exit_2(text, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -1,7 +1,10 @@
 """The public library surface that the README and the demos rely on."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,15 @@ def test_demo_imports_resolve(demo):
     assert names
     missing = [name for name in names if not hasattr(sbmlab, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", ["disk_embedded", "algebraic_identities"])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

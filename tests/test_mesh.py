@@ -3,7 +3,7 @@ import pytest
 
 from sbmlab import geometry as geo
 from sbmlab import mesh as msh
-from sbmlab.mesh import MeshError, ShiftConfig
+from sbmlab.mesh import MeshError
 
 
 def test_background_counts_and_sizes():
@@ -138,20 +138,21 @@ def test_mesh_params_uniform_and_halving():
 def test_shift_inactive_configurations():
     disk = geo.make_disk_domain()
     m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
-    huge = msh.shift_boundary_nodes(m, disk, ShiftConfig(0.0, 100.0))
+    huge = msh.shift_boundary_nodes(m, disk, 0.0, 100.0)
     np.testing.assert_array_equal(huge.vertices, m.vertices)
 
 
-@pytest.mark.parametrize("cfg,field", [(ShiftConfig(2.0, 1.0), "zeta"),
-                                       (ShiftConfig(-0.5, 1.0), "zeta"),
-                                       (ShiftConfig(0.5, 0.0), "c_d"),
-                                       (ShiftConfig(0.5, -1.0), "c_d"),
-                                       (ShiftConfig(0.5, np.nan), "c_d")])
+@pytest.mark.parametrize("cfg,field", [((2.0, 1.0), "zeta"),
+                                       ((-0.5, 1.0), "zeta"),
+                                       ((0.5, 0.0), "c_d"),
+                                       ((0.5, -1.0), "c_d"),
+                                       ((0.5, np.nan), "c_d")])
 def test_shift_rejects_bad_parameters(cfg, field):
     disk = geo.make_disk_domain()
     m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    zeta, c_d = cfg
     with pytest.raises(MeshError, match=field):
-        msh.shift_boundary_nodes(m, disk, cfg)
+        msh.shift_boundary_nodes(m, disk, zeta, c_d)
 
 
 def test_shift_enforces_distance_bound():
@@ -162,8 +163,8 @@ def test_shift_enforces_distance_bound():
     dom = geo.bind_dirichlet(disk, sol)
     m = msh.restrict_to_domain(msh.build_background(dom.bbox, 8), dom)
     areas0 = m.triangle_areas()
-    shifted = msh.shift_boundary_nodes(m, dom, ShiftConfig(zeta=0.5, c_d=1.0))
-    quad = assembly.build_boundary_quadrature(shifted, dom, sol, 3)
+    shifted = msh.shift_boundary_nodes(m, dom, zeta=0.5, c_d=1.0)
+    quad = assembly.build_boundary_quadrature(shifted, dom, 3)
     ratio = np.linalg.norm(quad.d, axis=-1) / quad.h_owner[:, None] ** 1.5
     assert ratio.max() <= 1.0 + 1e-9
     assert (shifted.triangle_areas() / areas0).min() >= 0.2
@@ -172,6 +173,110 @@ def test_shift_enforces_distance_bound():
                             m.boundary_vertex_ids())
     np.testing.assert_array_equal(shifted.vertices[interior],
                                   m.vertices[interior])
+
+
+def _shift_reference(mesh, domain, zeta, c_d):
+    """Node shift with a dict incidence and one projection per moved
+    vertex, in ascending vertex order; returns the shifted vertices."""
+    vertices = mesh.vertices.copy()
+    triangles = mesh.triangles
+    areas0 = msh._signed_areas(vertices, triangles)
+    bverts = [int(v) for v in mesh.boundary_vertex_ids()]
+    incident = {v: [] for v in bverts}
+    for t, tri in enumerate(triangles):
+        for v in tri:
+            if int(v) in incident:
+                incident[int(v)].append(t)
+    gauss = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
+    taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
+
+    def edge_excess():
+        h_cur = msh._diameters(vertices, triangles)
+        bound = c_d * h_cur[mesh.edge_owner] ** (1.0 + zeta)
+        a = vertices[mesh.edge_vertices[:, 0]]
+        b = vertices[mesh.edge_vertices[:, 1]]
+        samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
+        _, dist = msh._global_projection(domain, samples.reshape(-1, 2))
+        return dist.reshape(len(a), taus.size).max(axis=1) - bound
+
+    blocked = set()
+    for round_ in range(msh._SHIFT_ROUNDS):
+        excess = edge_excess()
+        if round_ > 0 and np.all(excess <= 1e-11):
+            break
+        pull = {v: 0.0 for v in bverts}
+        if round_ == 0:
+            h_cur = msh._diameters(vertices, triangles)
+            _, vdist = msh._global_projection(domain, vertices[bverts])
+            for k, v in enumerate(bverts):
+                h_v = h_cur[incident[v]].max()
+                over = vdist[k] - c_d * h_v ** (1.0 + zeta)
+                if over > 0.0:
+                    pull[v] = max(pull[v], over)
+        for e in np.nonzero(excess > 1e-11)[0]:
+            for v in mesh.edge_vertices[e]:
+                pull[int(v)] = max(pull[int(v)], float(excess[e]))
+        if all(p <= 0.0 for p in pull.values()):
+            break
+        moved = False
+        for v in sorted(pull):
+            if pull[v] <= 0.0:
+                continue
+            proj, vdist = msh._global_projection(domain, vertices[v][None, :])
+            if vdist[0] <= 1e-15:
+                continue
+            direction = (proj[0] - vertices[v]) / vdist[0]
+            step = min(pull[v], float(vdist[0]))
+            frac = msh._damped_move(vertices, triangles, areas0, incident[v],
+                                    v, vertices[v] + step * direction)
+            if frac == 0.0:
+                blocked.add(v)
+            else:
+                moved = True
+        if not moved:
+            break
+    assert np.all(edge_excess() <= 1e-9) and not blocked
+    return vertices
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_shift_matches_per_vertex_reference(n):
+    disk = geo.make_disk_domain()
+    m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+    shifted = msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+    reference = _shift_reference(m, disk, 0.5, 1.0)
+    assert not np.array_equal(reference, m.vertices)
+    np.testing.assert_array_equal(shifted.vertices, reference)
+
+
+def test_shift_failure_names_blocked_vertex():
+    disk = geo.make_disk_domain()
+    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 40), disk)
+    with pytest.raises(MeshError) as info:
+        msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+    assert "near vertex 1002 (excess 4.221e-04)" in str(info.value)
+
+
+def test_shift_projects_at_most_twice_per_round(monkeypatch):
+    disk = geo.make_disk_domain()
+    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 32), disk)
+    sizes = []
+    project = msh._global_projection
+
+    def counting(domain, pts):
+        sizes.append(len(pts))
+        return project(domain, pts)
+
+    monkeypatch.setattr(msh, "_global_projection", counting)
+    msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+    # every round checks the edge samples once; the check after the last
+    # round is the only extra call
+    nb = m.boundary_vertex_ids().size
+    vertex_calls = sizes.count(nb)
+    rounds = len(sizes) - vertex_calls - 1
+    assert 1 <= vertex_calls <= rounds
+    assert len(sizes) <= 2 * rounds + 1
+    assert min(sizes) == nb  # no per-vertex projection
 
 
 def test_vtk_export(tmp_path):
