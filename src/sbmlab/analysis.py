@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import TRI_RULE_DEG4, edge_basis, p1_gradients
+from .assembly import TRI_RULE_DEG4, edge_basis, p1_gradients, scatter
 from .linsolve import SolveError
 from .mesh import mesh_params
 
@@ -42,11 +41,6 @@ class RateTable:
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-def _corner_of(sol):
-    ref = sol.reference if sol is not None else {}
-    return np.asarray(ref["corner"], dtype=float) if "corner" in ref else None
-
 
 def error_norms(mesh, u_h, sol):
     """(L2, H1-seminorm) errors of a nodal field against the exact solution,
@@ -93,39 +87,41 @@ def _shift_values(mesh, quad, v):
     return np.einsum("eqk,ek->eq", sh, v[etri])
 
 
+def _exact_trace(quad, sol):
+    """Transported exact solution u + grad(u) . d at all boundary Gauss
+    points (points on the solution's corner nudged off it)."""
+    pts = _nudged_points(quad, sol.corner)
+    flat = pts.reshape(-1, 2)
+    shape = pts.shape[:2]
+    u = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
+    g = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
+    return u + np.einsum("eqd,eqd->eq", g, quad.d)
+
+
+def _boundary_sq(quad, x):
+    """Sum over boundary Gauss points of x^2 w / h (x shaped (ne, nq))."""
+    return float(np.einsum("eq,eq,e->", x ** 2, quad.weights,
+                           1.0 / quad.h_owner))
+
+
 def energy_norm(mesh, quad, v):
     """sqrt( |grad v|^2 + sum over edges of (transported v)^2 / h )."""
     v = np.asarray(v, dtype=float)
     p = mesh.vertices[mesh.triangles]
     gh = np.einsum("tk,tkd->td", v[mesh.triangles], p1_gradients(p))
     grad_term = float(np.einsum("td,td,t->", gh, gh, mesh.triangle_areas()))
-    sh = _shift_values(mesh, quad, v)
-    bnd_term = float(np.einsum("eq,eq,e->", sh ** 2, quad.weights,
-                               1.0 / quad.h_owner))
+    bnd_term = _boundary_sq(quad, _shift_values(mesh, quad, v))
     return math.sqrt(grad_term + bnd_term)
 
 
 def energy_gram(mesh, quad):
-    """Sparse Gram matrix of the energy norm (independent assembly loop)."""
-    nv = mesh.num_vertices
-    tris = mesh.triangles
-    p = mesh.vertices[tris]
-    grads = p1_gradients(p)
+    """Sparse Gram matrix of the energy norm, independent of ``assemble``."""
+    grads = p1_gradients(mesh.vertices[mesh.triangles])
     k_loc = np.einsum("tid,tjd,t->tij", grads, grads, mesh.triangle_areas())
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    data = k_loc.ravel()
-
     etri, _, _, sh = edge_basis(mesh, quad)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)
-    rows = np.concatenate([rows, np.repeat(etri, 3, axis=1).ravel()])
-    cols = np.concatenate([cols, np.tile(etri, (1, 3)).ravel()])
-    data = np.concatenate([data, m_loc.ravel()])
-    m = sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    return scatter(mesh.num_vertices, (mesh.triangles, k_loc), (etri, m_loc))
 
 
 def remainder_norm(mesh, quad, sol):
@@ -136,29 +132,14 @@ def remainder_norm(mesh, quad, sol):
     defect is integrated with weight 1/h. Vanishes identically for affine
     solutions and on fitted meshes.
     """
-    pts = _nudged_points(quad, _corner_of(sol))
-    flat = pts.reshape(-1, 2)
-    shape = pts.shape[:2]
-    u = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
-    g = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
-    defect = quad.gbar - (u + np.einsum("eqd,eqd->eq", g, quad.d))
-    total = float(np.einsum("eq,eq,e->", defect ** 2, quad.weights,
-                            1.0 / quad.h_owner))
-    return math.sqrt(total)
+    return math.sqrt(_boundary_sq(quad, quad.gbar - _exact_trace(quad, sol)))
 
 
 def energy_error(mesh, quad, u_h, sol, h1):
     """Energy-norm error: the H1 part ``h1`` (from ``error_norms``) plus the
     transported boundary mismatch."""
-    pts = _nudged_points(quad, _corner_of(sol))
-    flat = pts.reshape(-1, 2)
-    shape = pts.shape[:2]
-    ue = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
-    ge = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
-    s_exact = ue + np.einsum("eqd,eqd->eq", ge, quad.d)
     s_h = _shift_values(mesh, quad, np.asarray(u_h, dtype=float))
-    bnd = float(np.einsum("eq,eq,e->", (s_exact - s_h) ** 2, quad.weights,
-                          1.0 / quad.h_owner))
+    bnd = _boundary_sq(quad, _exact_trace(quad, sol) - s_h)
     return math.sqrt(h1 * h1 + bnd)
 
 
@@ -291,6 +272,16 @@ def _min_eigpair(a_sym, m):
 # rate fitting and CSV emission
 # ---------------------------------------------------------------------------
 
+def _rate(prev, cur, h_prev, h_cur):
+    """Observed order between two levels: None without a previous level,
+    the NaN sentinel when either error is at or below ``EXACT_FLOOR``."""
+    if prev is None:
+        return None
+    if cur <= EXACT_FLOOR or prev <= EXACT_FLOOR:
+        return math.nan
+    return math.log(prev / cur) / math.log(h_prev / h_cur)
+
+
 def fit_rates(series):
     """Pairwise rates plus a least-squares slope over the last <= 4 entries.
 
@@ -305,16 +296,8 @@ def fit_rates(series):
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh sizes must be strictly decreasing")
 
-    rows: List[Tuple[float, float, Optional[float]]] = []
-    for i, (h, e) in enumerate(zip(hs, errs)):
-        if i == 0:
-            rows.append((h, e, None))
-            continue
-        if e <= EXACT_FLOOR or errs[i - 1] <= EXACT_FLOOR:
-            rows.append((h, e, math.nan))
-            continue
-        rate = math.log(errs[i - 1] / e) / math.log(hs[i - 1] / h)
-        rows.append((h, e, rate))
+    rows = [(h, e, _rate(pe, e, ph, h)) for pe, e, ph, h
+            in zip([None] + errs[:-1], errs, [None] + hs[:-1], hs)]
 
     k = min(4, len(series))
     tail_h = hs[-k:]
@@ -332,14 +315,6 @@ CSV_HEADER = ("h,dofs,l2,l2_rate,h1,h1_rate,energy,energy_rate,"
               "remainder,remainder_rate")
 
 
-def _rate_str(prev, cur, h_prev, h_cur):
-    if prev is None:
-        return ""
-    if cur <= EXACT_FLOOR or prev <= EXACT_FLOOR:
-        return "exact"
-    return f"{math.log(prev / cur) / math.log(h_prev / h_cur):.12e}"
-
-
 def csv_row(prev, cur):
     """Format one CSV line from the current and previous ErrorReport."""
     h_prev = prev.h_omega if prev else None
@@ -348,5 +323,7 @@ def csv_row(prev, cur):
         val = getattr(cur, name)
         pval = getattr(prev, name) if prev else None
         fields.append(f"{val:.12e}")
-        fields.append(_rate_str(pval, val, h_prev, cur.h_omega))
+        rate = _rate(pval, val, h_prev, cur.h_omega)
+        fields.append("" if rate is None else
+                      "exact" if math.isnan(rate) else f"{rate:.12e}")
     return ",".join(fields)

@@ -50,7 +50,6 @@ class BoundaryQuadrature:
     gbar: np.ndarray          # (ne, nq)
     sideset_id: np.ndarray    # (ne,)
     h_owner: np.ndarray       # (ne,)
-    lengths: np.ndarray       # (ne,)
 
     @property
     def num_edges(self):
@@ -146,8 +145,7 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
 
     xi, wref = gauss_segment(nq_edge)
     points = a[:, None, :] + xi[None, :, None] * (b - a)[:, None, :]
-    lengths = np.hypot(*(b - a).T)
-    weights = wref[None, :] * lengths[:, None]
+    weights = wref[None, :] * mesh.edge_lengths()[:, None]
 
     ne, nq = points.shape[0], nq_edge
     d = np.empty((ne, nq, 2))
@@ -163,13 +161,26 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
 
     return BoundaryQuadrature(points=points, weights=weights, d=d, gbar=gbar,
                               sideset_id=ids,
-                              h_owner=mesh.h_per_triangle[mesh.edge_owner],
-                              lengths=lengths)
+                              h_owner=mesh.h_per_triangle[mesh.edge_owner])
 
 
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
+
+def scatter(nv, *blocks):
+    """Sum local 3 x 3 matrices into one (nv, nv) CSR matrix with sorted
+    indices. Each block is (vertex ids (m, 3), values (m, 3, 3)); entry
+    [k, i, j] lands at (ids[k, i], ids[k, j]), duplicates summed."""
+    rows = np.concatenate([np.repeat(ids, 3, axis=1).ravel()
+                           for ids, _ in blocks])
+    cols = np.concatenate([np.tile(ids, (1, 3)).ravel() for ids, _ in blocks])
+    data = np.concatenate([vals.ravel() for _, vals in blocks])
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    return matrix
+
 
 def assemble(mesh, quad, sol, gamma):
     """Assemble matrix and right-hand side of the discrete problem.
@@ -190,9 +201,6 @@ def assemble(mesh, quad, sol, gamma):
 
     # interior stiffness, exact for constant gradients
     k_loc = np.einsum("tid,tjd,t->tij", grads, grads, areas)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    data = k_loc.ravel()
 
     # source term with the degree-2 rule
     bary, wtri = TRI_RULE_DEG2
@@ -213,15 +221,10 @@ def assemble(mesh, quad, sol, gamma):
         - np.einsum("eq,eqj,ei->eij", w, sh, dn)
         + np.einsum("e,eq,eqj,eqi->eij", pen, w, sh, sh)
     )
-    rows = np.concatenate([rows, np.repeat(etri, 3, axis=1).ravel()])
-    cols = np.concatenate([cols, np.tile(etri, (1, 3)).ravel()])
-    data = np.concatenate([data, a_edge.ravel()])
 
     b_edge = (-np.einsum("eq,eq,ei->ei", w, quad.gbar, dn)
               + np.einsum("e,eq,eq,eqi->ei", pen, w, quad.gbar, sh))
     np.add.at(rhs, etri.ravel(), b_edge.ravel())
 
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return SparseSystem(matrix=matrix, rhs=rhs, gamma=float(gamma))
+    return SparseSystem(matrix=scatter(nv, (tris, k_loc), (etri, a_edge)),
+                        rhs=rhs, gamma=float(gamma))

@@ -55,13 +55,13 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Manufactured solution with value, gradient and source term."""
+    """Manufactured solution with value, gradient and source term;
+    ``corner`` is the point where the gradient is singular, if any."""
 
-    kind: str
     eval: Callable
     grad: Callable
     rhs_f: Callable
-    reference: dict
+    corner: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,18 @@ def project_points(sideset, pts):
     return t, p, dist
 
 
+def project_boundary(domain, pts):
+    """Project points onto every sideset of a domain.
+
+    Returns (t, p, dist) stacked over the sidesets in their domain order,
+    with shapes (nss, m), (nss, m, 2) and (nss, m).
+    """
+    if not domain.sidesets:
+        raise GeometryError("domain has no sidesets")
+    t, p, dist = zip(*(project_points(ss, pts) for ss in domain.sidesets))
+    return np.stack(t), np.stack(p), np.stack(dist)
+
+
 # ---------------------------------------------------------------------------
 # sideset assignment for surrogate edges
 # ---------------------------------------------------------------------------
@@ -158,43 +170,24 @@ def assign_sidesets(domain, ends_a, ends_b, normals):
     evaluated at the endpoint's own projection onto that candidate.
     Exact ties go to the smaller sideset id.
     """
-    sidesets = domain.sidesets
-    if not sidesets:
-        raise GeometryError("domain has no sidesets")
     ends_a = np.atleast_2d(np.asarray(ends_a, dtype=float))
     ends_b = np.atleast_2d(np.asarray(ends_b, dtype=float))
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     ne = ends_a.shape[0]
-    pts = np.vstack([ends_a, ends_b])
+    params, _, dists = project_boundary(domain, np.vstack([ends_a, ends_b]))
+    near = dists <= dists.min(axis=0) + _TIE_TOL  # (nss, 2*ne)
+    cand = near[:, :ne] | near[:, ne:]
 
-    nss = len(sidesets)
-    dists = np.empty((nss, 2 * ne))
-    params = np.empty((nss, 2 * ne))
-    for i, ss in enumerate(sidesets):
-        t, _, dist = project_points(ss, pts)
-        dists[i] = dist
-        params[i] = t
-    gmin = dists.min(axis=0)
-    near = dists <= gmin[None, :] + _TIE_TOL  # (nss, 2*ne)
-
+    # candidates in ascending sid; a later one wins only by more than the tie
+    # tolerance, and every edge has one (its endpoints' argmin sidesets)
     ids = np.empty(ne, dtype=int)
-    for e in range(ne):
-        cand = np.nonzero(near[:, e] | near[:, ne + e])[0]
-        if cand.size == 0:
-            raise GeometryError(f"edge {e}: no sideset matched either projection")
-        if cand.size == 1:
-            ids[e] = sidesets[cand[0]].sid
-            continue
-        nrm = normals[e]
-        best_sid, best_f = None, -np.inf
-        for i in sorted(cand, key=lambda i: sidesets[i].sid):
-            ss = sidesets[i]
-            f = 0.0
-            for col in (e, ne + e):
-                f += float(nrm @ np.asarray(ss.normal(params[i, col]), dtype=float))
-            if f > best_f + _TIE_TOL:
-                best_sid, best_f = ss.sid, f
-        ids[e] = best_sid
+    best_f = np.full(ne, -np.inf)
+    for i, ss in sorted(enumerate(domain.sidesets), key=lambda s: s[1].sid):
+        f = ((normals * ss.normal(params[i, :ne])).sum(axis=1)
+             + (normals * ss.normal(params[i, ne:])).sum(axis=1))
+        take = cand[i] & (f > best_f + _TIE_TOL)
+        ids[take] = ss.sid
+        best_f[take] = f[take]
     return ids
 
 
@@ -345,7 +338,7 @@ def make_affine_solution(a, b, c):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
-    return ExactSolution("affine", ev, gr, f, {"a": a, "b": b, "c": c})
+    return ExactSolution(ev, gr, f)
 
 
 def make_sinsin_solution():
@@ -365,7 +358,7 @@ def make_sinsin_solution():
     def f(x):
         return 2.0 * pi * pi * ev(x)
 
-    return ExactSolution("smooth-product", ev, gr, f, {"wavenumber": pi})
+    return ExactSolution(ev, gr, f)
 
 
 _CORNER_LAMBDA = 2.0 / 3.0
@@ -410,8 +403,7 @@ def make_corner_solution():
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
-    return ExactSolution("corner-singular", ev, gr, f,
-                         {"exponent": lam, "phase": phase, "corner": (0.0, 0.0)})
+    return ExactSolution(ev, gr, f, corner=(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

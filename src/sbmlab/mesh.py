@@ -9,11 +9,11 @@ the owning triangle's diameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project_points
+from .geometry import project_boundary
 
 
 class MeshError(Exception):
@@ -177,18 +177,12 @@ _SHIFT_ROUNDS = 40
 
 
 def _global_projection(domain, pts):
-    """Closest point on the whole boundary: (p, dist) over all sidesets."""
-    best_p = None
-    best_d = None
-    for ss in domain.sidesets:
-        _, p, dist = project_points(ss, pts)
-        if best_d is None:
-            best_p, best_d = p, dist
-        else:
-            closer = dist < best_d
-            best_p = np.where(closer[:, None], p, best_p)
-            best_d = np.where(closer, dist, best_d)
-    return best_p, best_d
+    """Closest point on the whole boundary: (p, dist) over all sidesets,
+    the first sideset winning exact ties."""
+    _, p, dist = project_boundary(domain, pts)
+    k = np.argmin(dist, axis=0)
+    cols = np.arange(dist.shape[1])
+    return p[k, cols], dist[k, cols]
 
 
 def _damped_move(vertices, triangles, areas0, incident, v, target):
@@ -214,8 +208,9 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     onto that distance. Because straight edges sag away from a curved
     boundary, additional repair rounds pull edge endpoints further until
     every edge quadrature sample satisfies the same bound. Moves are damped
-    so each triangle keeps at least 20% of its pre-shift area; if a needed
-    move is fully blocked, a MeshError names the vertex.
+    so each triangle keeps at least 20% of its pre-shift area. If the bound
+    still fails, a MeshError names the first fully blocked vertex, or else
+    an endpoint of the worst edge and the rounds used.
     """
     if not 0.0 <= zeta <= 1.0:
         raise MeshError(f"zeta must be in [0, 1], got {zeta}")
@@ -292,14 +287,13 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
         stuck = np.flatnonzero(blocked)
         culprit = (stuck[0] if stuck.size
                    else mesh.edge_vertices[np.argmax(excess), 0])
+        cause = ("without violating the area floor" if stuck.size else
+                 f"at the worst edge after {round_ + 1} rounds, with no "
+                 "move fully blocked")
         raise MeshError(
             f"cannot satisfy distance bound near vertex {culprit} "
-            f"(excess {float(excess.max()):.3e}) without violating the area floor")
-
-    ev, eo, en = _boundary_edges(vertices, triangles)
-    return replace(mesh, vertices=vertices, edge_vertices=ev, edge_owner=eo,
-                   edge_normal=en,
-                   h_per_triangle=_diameters(vertices, triangles))
+            f"(excess {float(excess.max()):.3e}) {cause}")
+    return _make_mesh(vertices, triangles)
 
 
 # ---------------------------------------------------------------------------

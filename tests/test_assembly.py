@@ -174,8 +174,8 @@ def test_affine_consistency_residual():
 
 def test_boundary_quadrature_invariants(corner_problem, disk_problem):
     for dom, sol, mesh_, quad, _ in (corner_problem, disk_problem):
-        np.testing.assert_allclose(quad.weights.sum(axis=1), quad.lengths,
-                                   atol=1e-12)
+        np.testing.assert_allclose(quad.weights.sum(axis=1),
+                                   mesh_.edge_lengths(), atol=1e-12)
         assert dom.inside(quad.points.reshape(-1, 2)).all()
         mapped = (quad.points + quad.d).reshape(-1, 2)
         ids = np.repeat(quad.sideset_id, quad.nq)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sbmlab import geometry as geo
+from sbmlab import mesh as msh
 
 
 def arctan_sideset():
@@ -142,6 +143,51 @@ def test_assign_translation_invariance(rng):
         moved = geo.make_square_domain(lo=shift, hi=shift + 1.0)
         sid, = geo.assign_sidesets(moved, [a + shift], [b + shift], [nrm])
         assert sid == base
+
+
+def _assign_reference(domain, ends_a, ends_b, normals):
+    """Per-edge sideset assignment: the candidates of each edge in
+    ascending sid, each normal evaluated at one scalar parameter."""
+    sidesets = domain.sidesets
+    ne = len(ends_a)
+    pts = np.vstack([ends_a, ends_b])
+    proj = [geo.project_points(ss, pts) for ss in sidesets]
+    params = np.array([t for t, _, _ in proj])
+    dists = np.array([dist for _, _, dist in proj])
+    near = dists <= dists.min(axis=0) + geo._TIE_TOL
+    ids = np.empty(ne, dtype=int)
+    for e in range(ne):
+        cand = np.nonzero(near[:, e] | near[:, ne + e])[0]
+        if cand.size == 1:
+            ids[e] = sidesets[cand[0]].sid
+            continue
+        best_sid, best_f = None, -np.inf
+        for i in sorted(cand, key=lambda i: sidesets[i].sid):
+            f = 0.0
+            for col in (e, ne + e):
+                f += float(normals[e] @ np.asarray(
+                    sidesets[i].normal(params[i, col]), dtype=float))
+            if f > best_f + geo._TIE_TOL:
+                best_sid, best_f = sidesets[i].sid, f
+        ids[e] = best_sid
+    return ids
+
+
+@pytest.mark.parametrize("name,n,shift", [
+    *((name, n, False) for name in ("square", "disk", "corner")
+      for n in (7, 8, 33, 64)),
+    ("disk", 32, True),
+])
+def test_assign_matches_per_edge_reference(name, n, shift):
+    dom = geo.domain_by_name(name)
+    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    if shift:
+        m = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
+    a = m.vertices[m.edge_vertices[:, 0]]
+    b = m.vertices[m.edge_vertices[:, 1]]
+    ids = geo.assign_sidesets(dom, a, b, m.edge_normal)
+    np.testing.assert_array_equal(
+        ids, _assign_reference(dom, a, b, m.edge_normal))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ DEMOS = [ROOT / "demos" / f"{name}.py" for name in (
     "algebraic_identities", "corner_convergence", "disk_embedded")]
 
 
-def test_readme_library_example_runs(capsys):
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1]
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_readme_library_example_runs(doc, capsys):
+    text = (ROOT / doc).read_text()
+    section = text.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(block, doc, "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("ErrorReport(")
     assert "err_l2=" in out and "dofs=" in out

@@ -254,7 +254,22 @@ def test_shift_failure_names_blocked_vertex():
     m = msh.restrict_to_domain(msh.build_background(disk.bbox, 40), disk)
     with pytest.raises(MeshError) as info:
         msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
-    assert "near vertex 1002 (excess 4.221e-04)" in str(info.value)
+    assert str(info.value).endswith(
+        "near vertex 1002 (excess 4.221e-04) at the worst edge after 40 "
+        "rounds, with no move fully blocked")
+
+
+def test_shift_failure_names_area_floor(monkeypatch):
+    disk = geo.make_disk_domain()
+    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    monkeypatch.setattr(msh, "_damped_move", lambda *args: 0.0)
+    with pytest.raises(MeshError) as info:
+        msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+    text = str(info.value)
+    assert text.endswith("without violating the area floor")
+    assert "rounds" not in text
+    vertex = int(text.split("near vertex ")[1].split()[0])
+    assert vertex in m.boundary_vertex_ids()
 
 
 def test_shift_projects_at_most_twice_per_round(monkeypatch):
