@@ -47,7 +47,7 @@ for label, attr, theory in (("l2", "err_l2", "4/3"),
                             ("energy", "err_energy", "2/3"),
                             ("remainder", "remainder", "2/3")):
     series = [(r.h_omega, getattr(r, attr)) for r in reports]
-    print(f"  {label:10s} {fit_rates(series).fitted_slope:7.4f}"
+    print(f"  {label:10s} {fit_rates(series):7.4f}"
           f"   (theory ~ {theory})")
 
 h_gamma, h_omega = mesh_params(

@@ -34,7 +34,6 @@ from .assembly import (
 from .linsolve import SolveError, SolveReport, solve
 from .analysis import (
     ErrorReport,
-    RateTable,
     coercivity_estimate,
     energy_norm,
     error_norms,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -28,14 +27,6 @@ class ErrorReport:
     err_energy: float
     remainder: float
     dofs: int
-
-
-@dataclass(frozen=True)
-class RateTable:
-    """Rows (h, error, rate); rate None on the first row, NaN means exact."""
-
-    rows: List[Tuple[float, float, Optional[float]]]
-    fitted_slope: float
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +56,7 @@ def error_norms(mesh, u_h, sol):
     return math.sqrt(e2), math.sqrt(g2)
 
 
-def _nudged_points(quad, corner):
+def _nudged_points(mesh, quad, corner):
     """Move quadrature points sitting on the corner 1e-12 along their edge."""
     pts = quad.points
     if corner is None:
@@ -74,7 +65,8 @@ def _nudged_points(quad, corner):
     if not np.any(close):
         return pts
     pts = pts.copy()
-    tangent = pts[:, -1, :] - pts[:, 0, :]
+    ends = mesh.vertices[mesh.edge_vertices]    # (ne, 2, 2)
+    tangent = ends[:, 1, :] - ends[:, 0, :]
     tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
     shift = np.broadcast_to(tangent[:, None, :], pts.shape)
     pts[close] += 1e-12 * shift[close]
@@ -87,10 +79,10 @@ def _shift_values(mesh, quad, v):
     return np.einsum("eqk,ek->eq", sh, v[etri])
 
 
-def _exact_trace(quad, sol):
+def _exact_trace(mesh, quad, sol):
     """Transported exact solution u + grad(u) . d at all boundary Gauss
     points (points on the solution's corner nudged off it)."""
-    pts = _nudged_points(quad, sol.corner)
+    pts = _nudged_points(mesh, quad, sol.corner)
     flat = pts.reshape(-1, 2)
     shape = pts.shape[:2]
     u = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
@@ -132,14 +124,15 @@ def remainder_norm(mesh, quad, sol):
     defect is integrated with weight 1/h. Vanishes identically for affine
     solutions and on fitted meshes.
     """
-    return math.sqrt(_boundary_sq(quad, quad.gbar - _exact_trace(quad, sol)))
+    defect = quad.gbar - _exact_trace(mesh, quad, sol)
+    return math.sqrt(_boundary_sq(quad, defect))
 
 
 def energy_error(mesh, quad, u_h, sol, h1):
     """Energy-norm error: the H1 part ``h1`` (from ``error_norms``) plus the
     transported boundary mismatch."""
     s_h = _shift_values(mesh, quad, np.asarray(u_h, dtype=float))
-    bnd = _boundary_sq(quad, _exact_trace(quad, sol) - s_h)
+    bnd = _boundary_sq(quad, _exact_trace(mesh, quad, sol) - s_h)
     return math.sqrt(h1 * h1 + bnd)
 
 
@@ -283,11 +276,12 @@ def _rate(prev, cur, h_prev, h_cur):
 
 
 def fit_rates(series):
-    """Pairwise rates plus a least-squares slope over the last <= 4 entries.
+    """Least-squares slope of log(error) over log(h), last <= 4 entries.
 
-    ``series`` is a list of (h, error) with h strictly decreasing. Errors
-    at or below 1e-12 are flagged with the NaN sentinel (printed "exact"):
-    machine-zero errors carry no rate information.
+    ``series`` is a list of (h, error) with h strictly decreasing. If an
+    error in the fit is at or below ``EXACT_FLOOR`` the slope is the NaN
+    sentinel (printed "exact"): machine-zero errors carry no rate
+    information. Pairwise rates come from ``csv_row``.
     """
     if len(series) < 2:
         raise ValueError("need at least two (h, error) entries")
@@ -296,19 +290,9 @@ def fit_rates(series):
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh sizes must be strictly decreasing")
 
-    rows = [(h, e, _rate(pe, e, ph, h)) for pe, e, ph, h
-            in zip([None] + errs[:-1], errs, [None] + hs[:-1], hs)]
-
-    k = min(4, len(series))
-    tail_h = hs[-k:]
-    tail_e = errs[-k:]
-    if any(e <= EXACT_FLOOR for e in tail_e):
-        slope = math.nan
-    else:
-        lh = np.log(tail_h)
-        le = np.log(tail_e)
-        slope = float(np.polyfit(lh, le, 1)[0])
-    return RateTable(rows=rows, fitted_slope=slope)
+    if any(e <= EXACT_FLOOR for e in errs[-4:]):
+        return math.nan
+    return float(np.polyfit(np.log(hs[-4:]), np.log(errs[-4:]), 1)[0])
 
 
 CSV_HEADER = ("h,dofs,l2,l2_rate,h1,h1_rate,energy,energy_rate,"

@@ -28,7 +28,6 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    gamma: float
 
     @property
     def dim(self):
@@ -139,9 +138,10 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
     for ss in domain.sidesets:
         if ss.dirichlet_g is None:
             raise AssemblyError(f"sideset {ss.sid} has no Dirichlet datum")
+    ids = assign_sidesets(domain, mesh.vertices, mesh.edge_vertices,
+                          mesh.edge_normal)
     a = mesh.vertices[mesh.edge_vertices[:, 0]]
     b = mesh.vertices[mesh.edge_vertices[:, 1]]
-    ids = assign_sidesets(domain, a, b, mesh.edge_normal)
 
     xi, wref = gauss_segment(nq_edge)
     points = a[:, None, :] + xi[None, :, None] * (b - a)[:, None, :]
@@ -169,17 +169,15 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
 # ---------------------------------------------------------------------------
 
 def scatter(nv, *blocks):
-    """Sum local 3 x 3 matrices into one (nv, nv) CSR matrix with sorted
-    indices. Each block is (vertex ids (m, 3), values (m, 3, 3)); entry
-    [k, i, j] lands at (ids[k, i], ids[k, j]), duplicates summed."""
+    """Sum local 3 x 3 matrices into one (nv, nv) CSR matrix. Each block is
+    (vertex ids (m, 3), values (m, 3, 3)); entry [k, i, j] lands at
+    (ids[k, i], ids[k, j]). scipy's COO -> CSR conversion sums duplicates
+    and sorts the indices, so the result is in canonical form."""
     rows = np.concatenate([np.repeat(ids, 3, axis=1).ravel()
                            for ids, _ in blocks])
     cols = np.concatenate([np.tile(ids, (1, 3)).ravel() for ids, _ in blocks])
     data = np.concatenate([vals.ravel() for _, vals in blocks])
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return matrix
+    return sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def assemble(mesh, quad, sol, gamma):
@@ -227,4 +225,4 @@ def assemble(mesh, quad, sol, gamma):
     np.add.at(rhs, etri.ravel(), b_edge.ravel())
 
     return SparseSystem(matrix=scatter(nv, (tris, k_loc), (etri, a_edge)),
-                        rhs=rhs, gamma=float(gamma))
+                        rhs=rhs)

@@ -167,9 +167,8 @@ def cmd_study(cfg):
 
     for name, attr in (("l2", "err_l2"), ("h1", "err_h1"),
                        ("energy", "err_energy"), ("remainder", "remainder")):
-        table = analysis.fit_rates(
+        slope = analysis.fit_rates(
             [(r.h_omega, getattr(r, attr)) for r in reports])
-        slope = table.fitted_slope
         text = "exact" if math.isnan(slope) else f"{slope:.4f}"
         print(f"fitted {name} slope (last {min(4, len(reports))} levels): "
               f"{text}")

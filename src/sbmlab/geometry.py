@@ -158,33 +158,35 @@ def project_boundary(domain, pts):
 _TIE_TOL = 1e-12
 
 
-def assign_sidesets(domain, ends_a, ends_b, normals):
+def assign_sidesets(domain, points, edges, normals):
     """Assign a sideset id to each surrogate edge (batched).
 
-    Both endpoints are projected globally onto the boundary; the candidate
-    set per edge collects every sideset matching either endpoint's global
-    minimum distance (within 1e-12, so projections landing on a sideset
-    intersection contribute both neighbors). A unique candidate wins
-    directly; otherwise the winner maximizes
-    f(s) = sum over endpoints of n_edge . n_s, with the candidate normal
-    evaluated at the endpoint's own projection onto that candidate.
+    ``edges`` holds vertex index pairs into ``points``; each distinct edge
+    vertex is projected once onto the whole boundary, and the edges read
+    their endpoints' projections. The candidate set per edge collects every
+    sideset matching either endpoint's global minimum distance (within
+    1e-12, so projections landing on a sideset intersection contribute both
+    neighbors). A unique candidate wins directly; otherwise the winner
+    maximizes f(s) = sum over endpoints of n_edge . n_s, with the candidate
+    normal evaluated at the endpoint's own projection onto that candidate.
     Exact ties go to the smaller sideset id.
     """
-    ends_a = np.atleast_2d(np.asarray(ends_a, dtype=float))
-    ends_b = np.atleast_2d(np.asarray(ends_b, dtype=float))
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    ne = ends_a.shape[0]
-    params, _, dists = project_boundary(domain, np.vstack([ends_a, ends_b]))
-    near = dists <= dists.min(axis=0) + _TIE_TOL  # (nss, 2*ne)
-    cand = near[:, :ne] | near[:, ne:]
+    verts, ends = np.unique(np.atleast_2d(edges), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    params, _, dists = project_boundary(
+        domain, np.asarray(points, dtype=float)[verts])
+    near = dists <= dists.min(axis=0) + _TIE_TOL  # (nss, vertices)
+    cand = near[:, ends[:, 0]] | near[:, ends[:, 1]]
 
     # candidates in ascending sid; a later one wins only by more than the tie
     # tolerance, and every edge has one (its endpoints' argmin sidesets)
-    ids = np.empty(ne, dtype=int)
-    best_f = np.full(ne, -np.inf)
+    ids = np.empty(len(ends), dtype=int)
+    best_f = np.full(len(ends), -np.inf)
     for i, ss in sorted(enumerate(domain.sidesets), key=lambda s: s[1].sid):
-        f = ((normals * ss.normal(params[i, :ne])).sum(axis=1)
-             + (normals * ss.normal(params[i, ne:])).sum(axis=1))
+        n_s = ss.normal(params[i])
+        f = ((normals * n_s[ends[:, 0]]).sum(axis=1)
+             + (normals * n_s[ends[:, 1]]).sum(axis=1))
         take = cand[i] & (f > best_f + _TIE_TOL)
         ids[take] = ss.sid
         best_f[take] = f[take]

@@ -281,8 +281,9 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
                 moved = True
         if not moved:
             break
-
-    excess = edge_excess()
+    else:
+        # only the round cap leaves moved vertices behind the last check
+        excess = edge_excess()
     if np.any(excess > 1e-9):
         stuck = np.flatnonzero(blocked)
         culprit = (stuck[0] if stuck.size

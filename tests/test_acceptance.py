@@ -64,7 +64,7 @@ def corner_study(tmp_path_factory):
 
 
 def fitted_slope(rows, key):
-    return an.fit_rates([(r["h"], r[key]) for r in rows]).fitted_slope
+    return an.fit_rates([(r["h"], r[key]) for r in rows])
 
 
 def test_criterion_1_corner_rates(corner_study):
@@ -146,7 +146,7 @@ def remainder_series(domain_name, solution_name, ns):
         quad = build_boundary_quadrature(mesh_, dom, 3)
         series.append((msh.mesh_params(mesh_)[1],
                        an.remainder_norm(mesh_, quad, sol)))
-    return an.fit_rates(series).fitted_slope
+    return an.fit_rates(series)
 
 
 def test_criterion_3_remainder_decay():

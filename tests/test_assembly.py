@@ -121,6 +121,7 @@ def test_quadrature_consistency_with_constant_d():
 
 def test_apply_form_basics_and_oracle(corner_problem, rng):
     dom, sol, mesh_, quad, system = corner_problem
+    gamma = 10.0  # the penalty make_problem assembles with
     n = system.dim
     zero = np.zeros(n)
     assert zero @ (system.matrix @ zero) == 0.0
@@ -153,7 +154,7 @@ def test_apply_form_basics_and_oracle(corner_problem, rng):
                 sw = wv + grad_w @ d
                 sv = vv + grad_v @ d
                 total += wq * (-(grad_w @ nrm) * vv - sw * (grad_v @ nrm)
-                               + system.gamma / h_t * sw * sv)
+                               + gamma / h_t * sw * sv)
         return total
 
     for _ in range(3):

@@ -111,7 +111,7 @@ def test_distance_vector_corner_branch_vs_oracle():
 
 def test_assign_case1_single_sideset():
     square = geo.make_square_domain()
-    sid, = geo.assign_sidesets(square, [[0.2, 0.05]], [[0.4, 0.05]],
+    sid, = geo.assign_sidesets(square, [[0.2, 0.05], [0.4, 0.05]], [[0, 1]],
                                [[0.0, -1.0]])
     assert sid == 1  # bottom
 
@@ -121,7 +121,8 @@ def test_assign_case2_weighted_normals():
     # f(top) = 2 * 0.07/|(0.1,0.07)| = 1.147
     square = geo.make_square_domain()
     nrm = np.array([0.1, 0.07]) / np.hypot(0.1, 0.07)
-    sid, = geo.assign_sidesets(square, [[0.92, 0.8]], [[0.85, 0.9]], [nrm])
+    sid, = geo.assign_sidesets(square, [[0.92, 0.8], [0.85, 0.9]], [[0, 1]],
+                               [nrm])
     assert sid == 2  # right
 
 
@@ -130,18 +131,20 @@ def test_assign_case3_projection_on_corner():
     # leans toward the right side, which must win the tie-break formula
     square = geo.make_square_domain()
     nrm = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
-    sid, = geo.assign_sidesets(square, [[0.9, 0.9]], [[0.93, 0.93]], [nrm])
+    sid, = geo.assign_sidesets(square, [[0.9, 0.9], [0.93, 0.93]], [[0, 1]],
+                               [nrm])
     assert sid == 2
 
 
 def test_assign_translation_invariance(rng):
-    a, b = np.array([0.92, 0.8]), np.array([0.85, 0.9])
+    ends = np.array([[0.92, 0.8], [0.85, 0.9]])
     nrm = np.array([0.1, 0.07]) / np.hypot(0.1, 0.07)
-    base, = geo.assign_sidesets(geo.make_square_domain(), [a], [b], [nrm])
+    base, = geo.assign_sidesets(geo.make_square_domain(), ends, [[0, 1]],
+                                [nrm])
     for _ in range(20):
         shift = rng.uniform(-50.0, 50.0, 2)
         moved = geo.make_square_domain(lo=shift, hi=shift + 1.0)
-        sid, = geo.assign_sidesets(moved, [a + shift], [b + shift], [nrm])
+        sid, = geo.assign_sidesets(moved, ends + shift, [[0, 1]], [nrm])
         assert sid == base
 
 
@@ -185,9 +188,28 @@ def test_assign_matches_per_edge_reference(name, n, shift):
         m = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
     a = m.vertices[m.edge_vertices[:, 0]]
     b = m.vertices[m.edge_vertices[:, 1]]
-    ids = geo.assign_sidesets(dom, a, b, m.edge_normal)
+    ids = geo.assign_sidesets(dom, m.vertices, m.edge_vertices, m.edge_normal)
     np.testing.assert_array_equal(
         ids, _assign_reference(dom, a, b, m.edge_normal))
+
+
+@pytest.mark.parametrize("name,n", [("corner", 40), ("disk", 32)])
+def test_assign_projects_each_boundary_vertex_once(monkeypatch, name, n):
+    from sbmlab import assembly
+
+    sol = geo.make_sinsin_solution()
+    dom = geo.bind_dirichlet(geo.domain_by_name(name), sol)
+    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    sizes = []
+    project = geo.project_boundary
+
+    def counting(domain, pts):
+        sizes.append(len(pts))
+        return project(domain, pts)
+
+    monkeypatch.setattr(geo, "project_boundary", counting)
+    assembly.build_boundary_quadrature(m, dom, 3)
+    assert sizes == [m.boundary_vertex_ids().size]
 
 
 # ---------------------------------------------------------------------------

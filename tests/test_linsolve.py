@@ -6,9 +6,9 @@ from sbmlab.assembly import SparseSystem
 from sbmlab.linsolve import SolveError, solve
 
 
-def system_of(a, b, gamma=1.0):
+def system_of(a, b):
     return SparseSystem(sp.csr_matrix(np.asarray(a, dtype=float)),
-                        np.asarray(b, dtype=float), gamma)
+                        np.asarray(b, dtype=float))
 
 
 def test_identity_system():
