@@ -73,9 +73,15 @@ _PARAM_TOL = 1e-13  # a notch below the 1e-12 contract
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _sqnorm(r):
+    # squares r in place; one addition is the whole length-2 reduction, so
+    # the bits match ``(r ** 2).sum(axis=-1)``
+    r *= r
+    return r[..., 0] + r[..., 1]
+
+
 def _sqdist(sideset, t, pts):
-    c = sideset.curve(t)
-    return ((c - pts) ** 2).sum(axis=-1)
+    return _sqnorm(sideset.curve(t) - pts)
 
 
 def project_points(sideset, pts):
@@ -91,7 +97,7 @@ def project_points(sideset, pts):
     cs = sideset.curve(ts)
     if not np.all(np.isfinite(cs)):
         raise GeometryError(f"sideset {sideset.sid}: curve not finite on seed grid")
-    d2 = ((pts[:, None, :] - cs[None, :, :]) ** 2).sum(axis=-1)
+    d2 = _sqnorm(pts[:, None, :] - cs[None, :, :])
     k = np.argmin(d2, axis=1)
     a = ts[np.maximum(k - 1, 0)]
     b = ts[np.minimum(k + 1, _NSEEDS)]
@@ -130,7 +136,7 @@ def project_points(sideset, pts):
         t = np.where(_sqdist(sideset, tn, pts) < _sqdist(sideset, t, pts), tn, t)
 
     p = sideset.curve(t)
-    dist = np.sqrt(((p - pts) ** 2).sum(axis=-1))
+    dist = np.sqrt(_sqnorm(p - pts))
     if not np.all(np.isfinite(dist)):
         bad = pts[~np.isfinite(dist)][0]
         raise GeometryError(

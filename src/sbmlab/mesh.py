@@ -210,7 +210,8 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     every edge quadrature sample satisfies the same bound. Moves are damped
     so each triangle keeps at least 20% of its pre-shift area. If the bound
     still fails, a MeshError names the first fully blocked vertex, or else
-    an endpoint of the worst edge and the rounds used.
+    an endpoint of the worst edge and the rounds used. Each round
+    re-projects only the vertices and edges that moved since the last one.
     """
     if not 0.0 <= zeta <= 1.0:
         raise MeshError(f"zeta must be in [0, 1], got {zeta}")
@@ -231,26 +232,46 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     gauss = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
     taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
 
+    ev = mesh.edge_vertices
+    owners = triangles[mesh.edge_owner]
+    # projections are cached and redone only for what moved since the last
+    # check; project_points works row by row, so a cached distance has the
+    # bits a fresh projection would give. NaN never compares equal, so the
+    # first check projects everything.
+    checked = np.full((nv, 2), np.nan)
+    sample_max = np.empty(len(ev))
+    proj = np.empty((bverts.size, 2))
+    vdist = np.empty(bverts.size)
+
     def edge_excess():
+        # returns each edge's excess over its bound and the vertices that
+        # moved since the previous check
+        moved_v = np.any(vertices != checked, axis=1)
+        stale = moved_v[ev].any(axis=1)
+        if np.any(stale):
+            a = vertices[ev[stale, 0]]
+            b = vertices[ev[stale, 1]]
+            samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
+            _, dist = _global_projection(domain, samples.reshape(-1, 2))
+            sample_max[stale] = dist.reshape(len(a), taus.size).max(axis=1)
+        checked[:] = vertices
         # diameters shrink when neighboring vertices converge on the
         # boundary, so the bound follows the current geometry
-        h_cur = _diameters(vertices, triangles)
-        bound = c_d * h_cur[mesh.edge_owner] ** (1.0 + zeta)
-        a = vertices[mesh.edge_vertices[:, 0]]
-        b = vertices[mesh.edge_vertices[:, 1]]
-        samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
-        _, dist = _global_projection(domain, samples.reshape(-1, 2))
-        return dist.reshape(len(a), taus.size).max(axis=1) - bound
+        bound = c_d * _diameters(vertices, owners) ** (1.0 + zeta)
+        return sample_max - bound, moved_v
 
     blocked = np.zeros(nv, dtype=bool)
     for round_ in range(_SHIFT_ROUNDS):
-        excess = edge_excess()
+        excess, moved_v = edge_excess()
         if round_ > 0 and np.all(excess <= 1e-11):
             break
 
-        # one projection per round: a vertex moves only in its own step, so
-        # its round-start projection is the one it moves along
-        proj, vdist = _global_projection(domain, vertices[bverts])
+        # a vertex moves only in its own step, so its round-start projection
+        # is the one it moves along; only the last round's moves are stale
+        stale = moved_v[bverts]
+        if np.any(stale):
+            proj[stale], vdist[stale] = _global_projection(
+                domain, vertices[bverts[stale]])
         pull = np.zeros(nv)
         if round_ == 0:
             # first pass: move each vertex onto its own distance bound
@@ -260,8 +281,7 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
             pull[bverts] = np.maximum(
                 vdist - c_d * h_v[bverts] ** (1.0 + zeta), 0.0)
         hot = excess > 1e-11
-        np.maximum.at(pull, mesh.edge_vertices[hot].ravel(),
-                      np.repeat(excess[hot], 2))
+        np.maximum.at(pull, ev[hot].ravel(), np.repeat(excess[hot], 2))
         if not np.any(pull > 0.0):
             break
 
@@ -283,7 +303,7 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
             break
     else:
         # only the round cap leaves moved vertices behind the last check
-        excess = edge_excess()
+        excess, _ = edge_excess()
     if np.any(excess > 1e-9):
         stuck = np.flatnonzero(blocked)
         culprit = (stuck[0] if stuck.size

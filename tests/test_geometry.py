@@ -63,6 +63,18 @@ def test_closest_point_fixed_point_on_curve():
     np.testing.assert_allclose(p, q, atol=1e-10)
 
 
+def test_sqdist_matches_summed_squares(rng):
+    ss = geo.make_disk_domain().sidesets[0]
+    t = rng.uniform(0.0, 1.0, 5400)
+    pts = rng.uniform(-1.0, 2.0, (5400, 2))
+    np.testing.assert_array_equal(geo._sqdist(ss, t, pts),
+                                  ((ss.curve(t) - pts) ** 2).sum(axis=-1))
+    # the seed grid's broadcast shape
+    r = pts[:, None, :] - ss.curve(np.linspace(0.0, 1.0, 65))[None, :, :]
+    np.testing.assert_array_equal(geo._sqnorm(r.copy()),
+                                  (r ** 2).sum(axis=-1))
+
+
 def test_projection_optimality(rng):
     ss = arctan_sideset()
     ts = rng.uniform(0.0, 1.0, 1000)

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbmlab import geometry as geo
 from sbmlab import mesh as msh
@@ -239,7 +243,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
     return vertices
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("n", [8, 16, 32, 128])
 def test_shift_matches_per_vertex_reference(n):
     disk = geo.make_disk_domain()
     m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
@@ -255,7 +259,11 @@ def test_shift_failure_names_blocked_vertex():
     disk = geo.make_disk_domain()
     for n, where in ((40, "near vertex 1002 (excess 4.221e-04)"),
                      (60, "near vertex 1171 (excess 9.323e-04)"),
-                     (80, "near vertex 4043 (excess 9.716e-04)")):
+                     (80, "near vertex 4043 (excess 9.716e-04)"),
+                     (100, "near vertex 3225 (excess 9.204e-04)"),
+                     (119, "near vertex 9002 (excess 1.447e-04)"),
+                     (120, "near vertex 4626 (excess 8.528e-04)"),
+                     (176, "near vertex 17856 (excess 1.104e-04)")):
         m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
         with pytest.raises(MeshError) as info:
             msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
@@ -277,27 +285,65 @@ def test_shift_failure_names_area_floor(monkeypatch):
     assert vertex in m.boundary_vertex_ids()
 
 
-def test_shift_projects_at_most_twice_per_round(monkeypatch):
+def test_shift_reprojects_only_what_moved(monkeypatch):
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 32), disk)
-    sizes = []
     project = msh._global_projection
+    calls = []
 
-    def counting(domain, pts):
-        sizes.append(len(pts))
+    def recording(domain, pts):
+        # the caller tells edge-sample checks from vertex batches
+        calls.append((sys._getframe(1).f_code.co_name, pts.copy()))
         return project(domain, pts)
 
-    monkeypatch.setattr(msh, "_global_projection", counting)
-    msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
-    # every round checks the edge samples once and projects the boundary
-    # vertices once; the converged round stops after its check, and no
-    # check repeats after the loop
-    nb = m.boundary_vertex_ids().size
-    vertex_calls = sizes.count(nb)
-    sample_calls = len(sizes) - vertex_calls
-    assert vertex_calls >= 1
-    assert sample_calls == vertex_calls + 1
-    assert min(sizes) == nb  # no per-vertex projection
+    monkeypatch.setattr(msh, "_global_projection", recording)
+    # a full projection every round projects 8,544 points at n=32 (converges
+    # after 8 rounds of moves) and 200,410 at n=160 (fails after 40 rounds)
+    for n, most in ((32, 3_000), (160, 20_000)):
+        m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+        calls.clear()
+        try:
+            msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+        except MeshError:
+            assert n == 160
+        callers = [name for name, _ in calls]
+        sizes = [len(pts) for _, pts in calls]
+        # at most one edge check and one vertex batch per round, plus the
+        # closing check after the round cap; round 0 projects everything,
+        # nine samples per edge
+        assert len(calls) <= 2 * msh._SHIFT_ROUNDS + 1
+        assert set(callers[0::2]) == {"edge_excess"}
+        assert set(callers[1::2]) == {"shift_boundary_nodes"}
+        assert sizes[:2] == [len(m.edge_vertices) * 9,
+                             m.boundary_vertex_ids().size]
+        assert sum(sizes) <= most
+        # no vertex batch repeats a coordinate pair already projected
+        seen = set()
+        for _, pts in calls[1::2]:
+            batch = set(map(tuple, pts.tolist()))
+            assert len(batch) == len(pts) and not batch & seen
+            seen |= batch
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(8, 128))
+@example(n=40)
+@example(n=120)
+def test_shift_meets_bound_or_names_boundary_vertex(n):
+    from sbmlab import assembly
+
+    dom = geo.bind_dirichlet(geo.make_disk_domain(),
+                             geo.make_sinsin_solution())
+    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    try:
+        shifted = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
+    except MeshError as err:
+        vertex = int(str(err).split("near vertex ")[1].split()[0])
+        assert vertex in m.boundary_vertex_ids()
+        return
+    quad = assembly.build_boundary_quadrature(shifted, dom, 3)
+    excess = np.linalg.norm(quad.d, axis=-1) - quad.h_owner[:, None] ** 1.5
+    assert excess.max() <= 1e-9
+    assert (shifted.triangle_areas() / m.triangle_areas()).min() >= 0.2
 
 
 def test_vtk_export(tmp_path):
