@@ -17,15 +17,15 @@ Run:  python demos/algebraic_identities.py
 import numpy as np
 
 from sbmlab import (
-    assemble, bind_dirichlet, build_background, build_boundary_quadrature,
+    assemble, bind_dirichlet, build_boundary_quadrature,
     coercivity_estimate, error_norms, make_affine_solution,
     make_corner_domain, make_corner_solution, nonsymmetry_residual,
-    remainder_norm, restrict_to_domain, solve,
+    remainder_norm, solve, surrogate_mesh,
 )
 
 solution = make_corner_solution()
 domain = bind_dirichlet(make_corner_domain(), solution)
-mesh = restrict_to_domain(build_background(domain.bbox, 12), domain)
+mesh = surrogate_mesh(domain, 12)
 quad = build_boundary_quadrature(mesh, domain)
 system = assemble(mesh, quad, solution, gamma=10.0)
 
@@ -43,8 +43,7 @@ for gamma in (10.0, 0.01):
 
 affine = make_affine_solution(0.3, 0.7, -0.4)
 affine_domain = bind_dirichlet(make_corner_domain(), affine)
-amesh = restrict_to_domain(build_background(affine_domain.bbox, 12),
-                           affine_domain)
+amesh = surrogate_mesh(affine_domain, 12)
 aquad = build_boundary_quadrature(amesh, affine_domain)
 asys = assemble(amesh, aquad, affine, gamma=10.0)
 arep = solve(asys)

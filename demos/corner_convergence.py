@@ -14,9 +14,9 @@ Run:  python demos/corner_convergence.py [levels]
 import sys
 
 from sbmlab import (
-    assemble, bind_dirichlet, build_background, build_boundary_quadrature,
-    error_report, fit_rates, make_corner_domain, make_corner_solution,
-    mesh_params, restrict_to_domain, solve,
+    assemble, bind_dirichlet, build_boundary_quadrature, error_report,
+    fit_rates, make_corner_domain, make_corner_solution, solve,
+    surrogate_mesh,
 )
 
 levels = int(sys.argv[1]) if len(sys.argv) > 1 else 5
@@ -32,7 +32,7 @@ print(f"{'n':>5} {'h':>10} {'dofs':>8} {'l2':>12} {'h1':>12} "
 reports = []
 for level in range(levels):
     n = 20 * 2 ** level
-    mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
+    mesh = surrogate_mesh(domain, n)
     quad = build_boundary_quadrature(mesh, domain)
     system = assemble(mesh, quad, solution, gamma)
     rep = solve(system)
@@ -50,7 +50,5 @@ for label, attr, theory in (("l2", "err_l2", "4/3"),
     print(f"  {label:10s} {fit_rates(series):7.4f}"
           f"   (theory ~ {theory})")
 
-h_gamma, h_omega = mesh_params(
-    restrict_to_domain(build_background(domain.bbox, 20), domain))
-print(f"\ncoarsest mesh parameters: h_gamma={h_gamma:.4e} "
-      f"h_omega={h_omega:.4e}")
+print(f"\ncoarsest mesh parameters: h_gamma={reports[0].h_gamma:.4e} "
+      f"h_omega={reports[0].h_omega:.4e}")

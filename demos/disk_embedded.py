@@ -14,10 +14,9 @@ Run:  python demos/disk_embedded.py
 import numpy as np
 
 from sbmlab import (
-    assemble, bind_dirichlet, build_background,
-    build_boundary_quadrature, error_report, make_disk_domain,
-    make_sinsin_solution, remainder_norm, restrict_to_domain,
-    shift_boundary_nodes, solve, write_vtk,
+    assemble, bind_dirichlet, build_boundary_quadrature, error_report,
+    make_disk_domain, make_sinsin_solution, remainder_norm,
+    shift_boundary_nodes, solve, surrogate_mesh, write_vtk,
 )
 
 solution = make_sinsin_solution()
@@ -25,7 +24,7 @@ domain = bind_dirichlet(make_disk_domain(), solution)
 
 # one unfitted solve with output fields
 n = 64
-mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
+mesh = surrogate_mesh(domain, n)
 quad = build_boundary_quadrature(mesh, domain)
 system = assemble(mesh, quad, solution, gamma=10.0)
 rep = solve(system)
@@ -42,7 +41,7 @@ print("wrote disk_solution.vtk")
 print("\ntransport defect |h^-1/2 (gbar - u - grad u . d)| under refinement:")
 prev = None
 for n in (16, 32, 64, 128):
-    mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
+    mesh = surrogate_mesh(domain, n)
     quad = build_boundary_quadrature(mesh, domain)
     value = remainder_norm(mesh, quad, solution)
     rate = "" if prev is None else f" (rate {np.log2(prev / value):.2f})"
@@ -52,7 +51,7 @@ for n in (16, 32, 64, 128):
 # node shifting enforces |d| <= c_d h^(1+zeta) at the quadrature points
 print("\nnode shifting with zeta=0.5, c_d=1:")
 for n in (8, 16, 32):
-    mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
+    mesh = surrogate_mesh(domain, n)
     raw = build_boundary_quadrature(mesh, domain)
     before = (np.linalg.norm(raw.d, axis=-1) / raw.h_owner[:, None] ** 1.5).max()
     shifted = shift_boundary_nodes(mesh, domain, zeta=0.5, c_d=1.0)

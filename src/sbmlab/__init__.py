@@ -18,10 +18,9 @@ from .geometry import (
 from .mesh import (
     MeshError,
     TriMesh,
-    build_background,
     mesh_params,
-    restrict_to_domain,
     shift_boundary_nodes,
+    surrogate_mesh,
     write_vtk,
 )
 from .assembly import (

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import analysis, assembly, geometry, linsolve
 from .geometry import GeometryError
-from .mesh import MeshError, build_background, restrict_to_domain, \
-    shift_boundary_nodes, write_vtk
+from .mesh import MeshError, shift_boundary_nodes, surrogate_mesh, \
+    write_vtk
 
 
 class ConfigError(Exception):
@@ -103,7 +103,7 @@ def _problem(cfg):
 
 def _discretize(cfg, domain, sol, n, shift=False):
     """Surrogate mesh (node-shifted if ``shift``), quadrature and system."""
-    mesh = restrict_to_domain(build_background(domain.bbox, n), domain)
+    mesh = surrogate_mesh(domain, n)
     if shift:
         mesh = shift_boundary_nodes(mesh, domain, cfg.zeta, cfg.c_d)
     quad = assembly.build_boundary_quadrature(mesh, domain, cfg.nq_edge)

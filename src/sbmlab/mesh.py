@@ -1,10 +1,10 @@
-"""Structured background triangulations and surrogate-domain extraction.
+"""Surrogate meshes, node shifting toward the true boundary and VTK export.
 
-The background mesh covers the domain bounding box with an n x n grid of
-cells, each split along the SW-NE diagonal. Restricting it to the triangles
-fully contained in the closed domain yields the surrogate mesh on which the
-discrete problem lives; its boundary edges carry outward unit normals and
-the owning triangle's diameter.
+An n x n grid of cells covers the domain bounding box, each cell split
+along the SW-NE diagonal. The triangles of this grid fully contained in the
+closed domain form the surrogate mesh on which the discrete problem lives;
+its boundary edges carry outward unit normals and the owning triangle's
+diameter. The whole grid is kept as plain arrays, never as a mesh.
 """
 
 from __future__ import annotations
@@ -106,16 +106,9 @@ def _make_mesh(vertices, triangles):
                    h_per_triangle=_diameters(vertices, triangles))
 
 
-def build_background(bbox, n):
-    """Structured n x n triangulation of a bounding box.
-
-    Parameters
-    ----------
-    bbox : (xmin, ymin, xmax, ymax)
-    n : int
-        Subdivisions per axis, at least 2. Every cell is split along the
-        same SW-NE diagonal; h_T equals the cell diagonal.
-    """
+def _grid(bbox, n):
+    """Vertices and triangles of the n x n grid on a bounding box, every
+    cell split along the same SW-NE diagonal (h_T is the cell diagonal)."""
     if n < 2:
         raise MeshError(f"need at least 2 subdivisions per axis, got {n}")
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
@@ -134,17 +127,21 @@ def build_background(bbox, n):
     lower = np.stack([v00, v10, v11], axis=-1)
     upper = np.stack([v00, v11, v01], axis=-1)
     triangles = np.concatenate([lower, upper], axis=1).reshape(-1, 3)
-    return _make_mesh(vertices, triangles)
+    return vertices, triangles
 
 
-def restrict_to_domain(mesh, domain):
-    """Keep the triangles fully contained in the closed domain.
+def surrogate_mesh(domain, n):
+    """Surrogate mesh: the triangles of the n x n grid on ``domain.bbox``
+    (n >= 2 subdivisions per axis) fully contained in the closed domain.
 
     Containment is tested at seven points per triangle: the vertices, the
-    edge midpoints and the centroid. Vertices are renumbered compactly;
-    boundary edges and normals are rebuilt.
+    edge midpoints and the centroid. The kept vertices are numbered in
+    grid order.
     """
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    # the grid's temporaries die with _grid's frame, before the probes
+    # peak; building the grid inline here raises the peak RSS
+    vertices, triangles = _grid(domain.bbox, n)
+    p = vertices[triangles]  # (nt, 3, 2)
     probes = np.concatenate([
         p,
         0.5 * (p + np.roll(p, -1, axis=1)),
@@ -153,11 +150,10 @@ def restrict_to_domain(mesh, domain):
     ok = domain.inside(probes.reshape(-1, 2)).reshape(-1, 7).all(axis=1)
     if not np.any(ok):
         raise MeshError("surrogate domain empty; refine mesh")
-    kept = mesh.triangles[ok]
-    used = np.unique(kept)
-    remap = np.full(mesh.num_vertices, -1, dtype=int)
-    remap[used] = np.arange(used.size)
-    return _make_mesh(mesh.vertices[used], remap[kept])
+    kept = triangles[ok]
+    used = np.zeros(len(vertices), dtype=bool)
+    used[kept] = True
+    return _make_mesh(vertices[used], (np.cumsum(used) - 1)[kept])
 
 
 def mesh_params(mesh):

@@ -5,10 +5,10 @@ from sbmlab import assembly, geometry, linsolve, mesh
 
 
 def make_problem(domain_name, solution_name, n, gamma=10.0, nq_edge=3):
-    """Domain, solution, restricted mesh, boundary quadrature and system."""
+    """Domain, solution, surrogate mesh, boundary quadrature and system."""
     sol = geometry.solution_by_name(solution_name)
     dom = geometry.bind_dirichlet(geometry.domain_by_name(domain_name), sol)
-    msh = mesh.restrict_to_domain(mesh.build_background(dom.bbox, n), dom)
+    msh = mesh.surrogate_mesh(dom, n)
     quad = assembly.build_boundary_quadrature(msh, dom, nq_edge)
     system = assembly.assemble(msh, quad, sol, gamma)
     return dom, sol, msh, quad, system

@@ -142,7 +142,7 @@ def remainder_series(domain_name, solution_name, ns):
     dom = geo.bind_dirichlet(geo.domain_by_name(domain_name), sol)
     series = []
     for n in ns:
-        mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        mesh_ = msh.surrogate_mesh(dom, n)
         quad = build_boundary_quadrature(mesh_, dom, 3)
         series.append((msh.mesh_params(mesh_)[1],
                        an.remainder_norm(mesh_, quad, sol)))
@@ -175,7 +175,7 @@ def test_criterion_4_algebraic_identity_suite(corner_problem,
 
     affine = geo.make_affine_solution(0.3, 0.7, -0.4)
     adom = geo.bind_dirichlet(geo.domain_by_name("corner"), affine)
-    amesh = msh.restrict_to_domain(msh.build_background(adom.bbox, 12), adom)
+    amesh = msh.surrogate_mesh(adom, 12)
     aquad = build_boundary_quadrature(amesh, adom, 3)
     asys = assemble(amesh, aquad, affine, 10.0)
     arep = linsolve.solve(asys)
@@ -206,7 +206,7 @@ def test_criterion_5_distance_smallness_enforcement():
     dom = geo.bind_dirichlet(geo.make_disk_domain(), sol)
     ratios, area_floors = [], []
     for n in (8, 16, 32):
-        mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        mesh_ = msh.surrogate_mesh(dom, n)
         areas0 = mesh_.triangle_areas()
         shifted = msh.shift_boundary_nodes(mesh_, dom, zeta=0.5, c_d=1.0)
         quad = build_boundary_quadrature(shifted, dom, 3)

@@ -26,7 +26,7 @@ def test_error_norms_affine_interpolant_is_exact(corner_problem):
 
 def test_error_norms_constant_one():
     dom = geo.make_square_domain()
-    mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 8), dom)
+    mesh_ = msh.surrogate_mesh(dom, 8)
     sol = geo.make_affine_solution(1.0, 0.0, 0.0)
     l2, h1 = an.error_norms(mesh_, np.zeros(mesh_.num_vertices), sol)
     assert abs(l2 - 1.0) <= 1e-12
@@ -38,7 +38,7 @@ def test_interpolation_error_second_order():
     sol = geo.make_sinsin_solution()
     errs = []
     for n in (16, 32):
-        mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        mesh_ = msh.surrogate_mesh(dom, n)
         interp = np.asarray(sol.eval(mesh_.vertices))
         errs.append(an.error_norms(mesh_, interp, sol)[0])
     assert abs(errs[0] / errs[1] - 4.0) <= 0.4
@@ -97,7 +97,7 @@ def test_error_report_reuses_h1_exactly(problem, request):
 def test_remainder_vanishes_for_affine():
     sol = geo.make_affine_solution(0.4, 0.9, -0.3)
     dom = geo.bind_dirichlet(geo.domain_by_name("corner"), sol)
-    mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 12), dom)
+    mesh_ = msh.surrogate_mesh(dom, 12)
     quad = build_boundary_quadrature(mesh_, dom, 3)
     assert an.remainder_norm(mesh_, quad, sol) <= 1e-12
 
@@ -136,7 +136,7 @@ def test_remainder_decays_on_disk():
     dom = geo.bind_dirichlet(geo.make_disk_domain(), sol)
     values = []
     for n in (16, 32):
-        mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        mesh_ = msh.surrogate_mesh(dom, n)
         quad = build_boundary_quadrature(mesh_, dom, 3)
         values.append(an.remainder_norm(mesh_, quad, sol))
     assert values[0] / values[1] >= 2.0 - 0.2

@@ -104,7 +104,7 @@ def test_quadrature_consistency_with_constant_d():
     sol = geo.make_sinsin_solution()
     dom = geo.bind_dirichlet(
         geo.make_square_domain(bbox=(-0.3, -0.3, 1.3, 1.3)), sol)
-    mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 10), dom)
+    mesh_ = msh.surrogate_mesh(dom, 10)
     quad3 = asm.build_boundary_quadrature(mesh_, dom, 3)
     quad6 = asm.build_boundary_quadrature(mesh_, dom, 6)
     spread = np.linalg.norm(quad3.d - quad3.d[:, :1, :], axis=-1)
@@ -199,7 +199,7 @@ def test_quadrature_requires_dirichlet_datum():
     from dataclasses import replace
 
     dom = geo.make_corner_domain()
-    mesh_ = msh.restrict_to_domain(msh.build_background(dom.bbox, 8), dom)
+    mesh_ = msh.surrogate_mesh(dom, 8)
     with pytest.raises(asm.AssemblyError, match="sideset 1 has no Dirichlet"):
         asm.build_boundary_quadrature(mesh_, dom)
     bound = geo.bind_dirichlet(dom, geo.make_corner_solution())

@@ -195,7 +195,7 @@ def _assign_reference(domain, ends_a, ends_b, normals):
 ])
 def test_assign_matches_per_edge_reference(name, n, shift):
     dom = geo.domain_by_name(name)
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    m = msh.surrogate_mesh(dom, n)
     if shift:
         m = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
     a = m.vertices[m.edge_vertices[:, 0]]
@@ -211,7 +211,7 @@ def test_assign_projects_each_boundary_vertex_once(monkeypatch, name, n):
 
     sol = geo.make_sinsin_solution()
     dom = geo.bind_dirichlet(geo.domain_by_name(name), sol)
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    m = msh.surrogate_mesh(dom, n)
     sizes = []
     project = geo.project_boundary
 

@@ -38,12 +38,16 @@ def test_demo_imports_resolve(demo):
     assert not missing
 
 
-@pytest.mark.parametrize("name", ["disk_embedded", "algebraic_identities"])
+@pytest.mark.parametrize("name", ["disk_embedded", "algebraic_identities",
+                                  "corner_convergence"])
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+    # three of the corner study's five levels keep the run near one second
+    args = ["3"] if name == "corner_convergence" else []
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py"),
+                           *args],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

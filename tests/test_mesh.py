@@ -11,24 +11,28 @@ from sbmlab.mesh import MeshError
 
 
 def test_background_counts_and_sizes():
-    m = msh.build_background((0.0, 0.0, 1.0, 1.0), 2)
+    # the unit square fills its bounding box: every grid triangle is kept
+    m = msh.surrogate_mesh(geo.make_square_domain(), 2)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    m4 = msh.build_background((0.0, 0.0, 1.0, 1.0), 4)
+    m4 = msh.surrogate_mesh(geo.make_square_domain(), 4)
     assert abs(m4.h_per_triangle.max() - np.sqrt(2.0) / 4.0) <= 1e-14
     assert abs(m4.triangle_areas().sum() - 1.0) <= 1e-12
 
 
 def test_background_rejects_bad_input():
-    with pytest.raises(MeshError):
-        msh.build_background((0.0, 0.0, 1.0, 1.0), 1)
-    with pytest.raises(MeshError):
-        msh.build_background((0.0, 0.0, 0.0, 1.0), 4)
+    with pytest.raises(MeshError, match="at least 2 subdivisions"):
+        msh.surrogate_mesh(geo.make_square_domain(), 1)
+    with pytest.raises(MeshError, match="degenerate bounding box"):
+        msh.surrogate_mesh(
+            geo.make_square_domain(bbox=(0.0, 0.0, 0.0, 1.0)), 4)
 
 
 def test_triangle_orientation_and_regularity():
     for bbox in ((0.0, 0.0, 1.0, 1.0), (-0.6, -0.55, 0.6, 0.55)):
-        m = msh.build_background(bbox, 6)
+        square = geo.make_square_domain(lo=bbox[:2], hi=bbox[2:])
+        m = msh.surrogate_mesh(square, 6)
+        assert m.num_triangles == 2 * 6 * 6
         areas = m.triangle_areas()
         assert areas.min() >= 1e-14
         p = m.vertices[m.triangles]
@@ -41,21 +45,20 @@ def test_triangle_orientation_and_regularity():
 
 def test_restrict_keeps_everything_when_domain_fills_bbox():
     dom = geo.make_square_domain()
-    bg = msh.build_background(dom.bbox, 4)
-    kept = msh.restrict_to_domain(bg, dom)
-    assert kept.num_triangles == bg.num_triangles
-    np.testing.assert_array_equal(kept.triangles, bg.triangles)
+    vertices, triangles = msh._grid(dom.bbox, 4)
+    kept = msh.surrogate_mesh(dom, 4)
+    np.testing.assert_array_equal(kept.vertices, vertices)
+    np.testing.assert_array_equal(kept.triangles, triangles)
 
 
 def test_restrict_disk_matches_sampling_oracle(rng):
     disk = geo.make_disk_domain(radius=0.4)
-    bg = msh.build_background(disk.bbox, 4)
-    kept = msh.restrict_to_domain(bg, disk)
+    vertices, triangles = msh._grid(disk.bbox, 4)
+    kept = msh.surrogate_mesh(disk, 4)
     assert kept.num_triangles == 8  # frozen from the oracle below
     bary = np.vstack([np.eye(3), rng.dirichlet((1.0, 1.0, 1.0), size=197)])
     oracle = sum(
-        bool(disk.inside(bary @ bg.vertices[tri]).all())
-        for tri in bg.triangles)
+        bool(disk.inside(bary @ vertices[tri]).all()) for tri in triangles)
     assert kept.num_triangles == oracle
     assert disk.inside(kept.vertices).all()
 
@@ -63,15 +66,46 @@ def test_restrict_disk_matches_sampling_oracle(rng):
 def test_restrict_empty_raises():
     tiny = geo.make_disk_domain(radius=0.05)
     with pytest.raises(MeshError, match="refine"):
-        msh.restrict_to_domain(msh.build_background(tiny.bbox, 2), tiny)
+        msh.surrogate_mesh(tiny, 2)
 
 
-def test_restrict_is_idempotent():
+def _surrogate_oracle(domain, n):
+    """Grid triangles passing the 7-point test, vertices renumbered with
+    np.unique and a remap array, then a full mesh rebuild."""
+    vertices, triangles = msh._grid(domain.bbox, n)
+    p = vertices[triangles]
+    probes = np.concatenate([p, 0.5 * (p + np.roll(p, -1, axis=1)),
+                             p.mean(axis=1, keepdims=True)], axis=1)
+    ok = domain.inside(probes.reshape(-1, 2)).reshape(-1, 7).all(axis=1)
+    if not np.any(ok):
+        raise MeshError("surrogate domain empty; refine mesh")
+    kept = triangles[ok]
+    used = np.unique(kept)
+    remap = np.full(len(vertices), -1, dtype=int)
+    remap[used] = np.arange(used.size)
+    return msh._make_mesh(vertices[used], remap[kept])
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 33, 119])
+@pytest.mark.parametrize("name", ["square", "disk", "corner"])
+def test_surrogate_mesh_matches_renumbering_oracle(name, n):
+    dom = geo.domain_by_name(name)
+    m = msh.surrogate_mesh(dom, n)
+    ref = _surrogate_oracle(dom, n)
+    for field in ("vertices", "triangles", "edge_vertices", "edge_owner",
+                  "edge_normal", "h_per_triangle"):
+        got, want = getattr(m, field), getattr(ref, field)
+        assert got.dtype == want.dtype, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+
+
+def test_surrogate_mesh_empty_matches_renumbering_oracle():
     disk = geo.make_disk_domain()
-    once = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
-    twice = msh.restrict_to_domain(once, disk)
-    np.testing.assert_array_equal(once.triangles, twice.triangles)
-    np.testing.assert_array_equal(once.vertices, twice.vertices)
+    with pytest.raises(MeshError) as got:
+        msh.surrogate_mesh(disk, 2)
+    with pytest.raises(MeshError) as want:
+        _surrogate_oracle(disk, 2)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", ["disk", "corner"])
@@ -79,14 +113,14 @@ def test_surrogate_area_monotone_under_refinement(name):
     dom = geo.domain_by_name(name)
     areas = []
     for n in (8, 16, 32):
-        m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        m = msh.surrogate_mesh(dom, n)
         areas.append(m.triangle_areas().sum())
     assert areas[1] >= areas[0] - 1e-12
     assert areas[2] >= areas[1] - 1e-12
 
 
 def test_boundary_edges_full_square():
-    m = msh.build_background((0.0, 0.0, 1.0, 1.0), 2)
+    m = msh.surrogate_mesh(geo.make_square_domain(), 2)
     assert m.edge_vertices.shape[0] == 8
     closure = (m.edge_lengths()[:, None] * m.edge_normal).sum(axis=0)
     assert np.abs(closure).max() <= 1e-10
@@ -94,7 +128,7 @@ def test_boundary_edges_full_square():
 
 def test_boundary_edges_belong_to_owner_and_point_outward():
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    m = msh.surrogate_mesh(disk, 8)
     closure = (m.edge_lengths()[:, None] * m.edge_normal).sum(axis=0)
     assert np.abs(closure).max() <= 1e-10
     tris = m.triangles[m.edge_owner]
@@ -108,7 +142,7 @@ def test_boundary_edges_belong_to_owner_and_point_outward():
 
 def test_nonmanifold_edge_rejected():
     dom = geo.make_square_domain()
-    good = msh.restrict_to_domain(msh.build_background(dom.bbox, 2), dom)
+    good = msh.surrogate_mesh(dom, 2)
     bad = np.vstack([good.triangles, good.triangles[:1]])
     with pytest.raises(MeshError, match="non-manifold"):
         msh._boundary_edges(good.vertices, bad)
@@ -118,7 +152,7 @@ def test_surrogate_perimeter_near_circle():
     # coarse meshes: staircase perimeter stays below |Gamma| + 4 h_Gamma
     disk = geo.make_disk_domain()
     for n in (8, 12):
-        m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+        m = msh.surrogate_mesh(disk, n)
         h_gamma, _ = msh.mesh_params(m)
         assert m.edge_lengths().sum() <= 2.0 * np.pi * 0.45 + 4.0 * h_gamma
 
@@ -126,22 +160,20 @@ def test_surrogate_perimeter_near_circle():
 def test_mesh_params_uniform_and_halving():
     dom = geo.make_square_domain()
     for n in (8, 16):
-        m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+        m = msh.surrogate_mesh(dom, n)
         h_gamma, h_omega = msh.mesh_params(m)
         assert abs(h_gamma - np.sqrt(2.0) / n) <= 1e-14
         assert abs(h_omega - np.sqrt(2.0) / n) <= 1e-14
         assert h_gamma <= h_omega
     disk = geo.make_disk_domain()
-    h8 = msh.mesh_params(
-        msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk))[1]
-    h16 = msh.mesh_params(
-        msh.restrict_to_domain(msh.build_background(disk.bbox, 16), disk))[1]
+    h8 = msh.mesh_params(msh.surrogate_mesh(disk, 8))[1]
+    h16 = msh.mesh_params(msh.surrogate_mesh(disk, 16))[1]
     assert abs(h8 / h16 - 2.0) <= 1e-12
 
 
 def test_shift_inactive_configurations():
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    m = msh.surrogate_mesh(disk, 8)
     huge = msh.shift_boundary_nodes(m, disk, 0.0, 100.0)
     np.testing.assert_array_equal(huge.vertices, m.vertices)
 
@@ -153,7 +185,7 @@ def test_shift_inactive_configurations():
                                        ((0.5, np.nan), "c_d")])
 def test_shift_rejects_bad_parameters(cfg, field):
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    m = msh.surrogate_mesh(disk, 8)
     zeta, c_d = cfg
     with pytest.raises(MeshError, match=field):
         msh.shift_boundary_nodes(m, disk, zeta, c_d)
@@ -165,7 +197,7 @@ def test_shift_enforces_distance_bound():
     disk = geo.make_disk_domain()
     sol = geo.make_sinsin_solution()
     dom = geo.bind_dirichlet(disk, sol)
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, 8), dom)
+    m = msh.surrogate_mesh(dom, 8)
     areas0 = m.triangle_areas()
     shifted = msh.shift_boundary_nodes(m, dom, zeta=0.5, c_d=1.0)
     quad = assembly.build_boundary_quadrature(shifted, dom, 3)
@@ -246,7 +278,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
 @pytest.mark.parametrize("n", [8, 16, 32, 128])
 def test_shift_matches_per_vertex_reference(n):
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+    m = msh.surrogate_mesh(disk, n)
     shifted = msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
     reference = _shift_reference(m, disk, 0.5, 1.0)
     assert not np.array_equal(reference, m.vertices)
@@ -264,7 +296,7 @@ def test_shift_failure_names_blocked_vertex():
                      (119, "near vertex 9002 (excess 1.447e-04)"),
                      (120, "near vertex 4626 (excess 8.528e-04)"),
                      (176, "near vertex 17856 (excess 1.104e-04)")):
-        m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+        m = msh.surrogate_mesh(disk, n)
         with pytest.raises(MeshError) as info:
             msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
         assert str(info.value).endswith(
@@ -274,7 +306,7 @@ def test_shift_failure_names_blocked_vertex():
 
 def test_shift_failure_names_area_floor(monkeypatch):
     disk = geo.make_disk_domain()
-    m = msh.restrict_to_domain(msh.build_background(disk.bbox, 8), disk)
+    m = msh.surrogate_mesh(disk, 8)
     monkeypatch.setattr(msh, "_damped_move", lambda *args: 0.0)
     with pytest.raises(MeshError) as info:
         msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
@@ -299,7 +331,7 @@ def test_shift_reprojects_only_what_moved(monkeypatch):
     # a full projection every round projects 8,544 points at n=32 (converges
     # after 8 rounds of moves) and 200,410 at n=160 (fails after 40 rounds)
     for n, most in ((32, 3_000), (160, 20_000)):
-        m = msh.restrict_to_domain(msh.build_background(disk.bbox, n), disk)
+        m = msh.surrogate_mesh(disk, n)
         calls.clear()
         try:
             msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
@@ -333,7 +365,7 @@ def test_shift_meets_bound_or_names_boundary_vertex(n):
 
     dom = geo.bind_dirichlet(geo.make_disk_domain(),
                              geo.make_sinsin_solution())
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, n), dom)
+    m = msh.surrogate_mesh(dom, n)
     try:
         shifted = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
     except MeshError as err:
@@ -348,7 +380,7 @@ def test_shift_meets_bound_or_names_boundary_vertex(n):
 
 def test_vtk_export(tmp_path):
     dom = geo.make_square_domain()
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, 4), dom)
+    m = msh.surrogate_mesh(dom, 4)
     path = tmp_path / "mesh.vtk"
     msh.write_vtk(path, m, {"height": m.vertices[:, 1]})
     lines = path.read_text().splitlines()
@@ -385,13 +417,13 @@ def _boundary_edges_oracle(vertices, triangles):
 @pytest.mark.parametrize("name", ["square", "disk", "corner"])
 def test_boundary_edges_match_dict_count_oracle(name, n):
     dom = geo.domain_by_name(name)
-    meshes = [msh.build_background(dom.bbox, n)]
+    meshes = [msh._grid(dom.bbox, n)]
     if not (name == "disk" and n == 2):  # no 2 x 2 grid triangle is inside
-        meshes.append(msh.restrict_to_domain(meshes[0], dom))
-    for m in meshes:
-        ev, eo, en = msh._boundary_edges(m.vertices, m.triangles)
-        ref_ev, ref_eo, ref_en = _boundary_edges_oracle(m.vertices,
-                                                        m.triangles)
+        m = msh.surrogate_mesh(dom, n)
+        meshes.append((m.vertices, m.triangles))
+    for vertices, triangles in meshes:
+        ev, eo, en = msh._boundary_edges(vertices, triangles)
+        ref_ev, ref_eo, ref_en = _boundary_edges_oracle(vertices, triangles)
         np.testing.assert_array_equal(ev, ref_ev)
         np.testing.assert_array_equal(eo, ref_eo)
         np.testing.assert_array_equal(en, ref_en)
@@ -418,7 +450,7 @@ def test_vtk_export_matches_line_formatter(tmp_path):
     from dataclasses import replace
 
     dom = geo.make_corner_domain()
-    m = msh.restrict_to_domain(msh.build_background(dom.bbox, 6), dom)
+    m = msh.surrogate_mesh(dom, 6)
     vertices = m.vertices.copy()
     vertices[0, 0] = -0.0
     m = replace(m, vertices=vertices)
