@@ -33,26 +33,51 @@ class ErrorReport:
 # norms
 # ---------------------------------------------------------------------------
 
+def _nodal(mesh, v):
+    """v as a float array, or ValueError unless it holds one value per
+    mesh vertex."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (mesh.num_vertices,):
+        raise ValueError(f"nodal field has shape {v.shape}, but the mesh "
+                         f"has {mesh.num_vertices} vertices")
+    return v
+
+
+_ERROR_BLOCK = 1 << 15
+
+
 def error_norms(mesh, u_h, sol):
     """(L2, H1-seminorm) errors of a nodal field against the exact solution,
-    with the degree-4 triangle rule."""
+    with the degree-4 triangle rule.
+
+    The triangles are taken in blocks of ``_ERROR_BLOCK`` (2^15): the
+    point coordinates, values and gradients take about 0.9 kB per
+    triangle, so over the whole mesh (140 MB at corner n=320) they made
+    this the peak-memory stage of a fine level. Only the order of the
+    sums depends on the block size.
+    """
+    u_h = _nodal(mesh, u_h)
     bary, wts = TRI_RULE_DEG4
-    p = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
     areas = mesh.triangle_areas()
-    grads = p1_gradients(p)                      # (nt, 3, 2)
-    vals = u_h[mesh.triangles]                   # (nt, 3)
+    e2 = g2 = 0.0
+    for lo in range(0, mesh.num_triangles, _ERROR_BLOCK):
+        tri = mesh.triangles[lo:lo + _ERROR_BLOCK]
+        area = areas[lo:lo + _ERROR_BLOCK]
+        p = mesh.vertices[tri]                        # (nb, 3, 2)
+        vals = u_h[tri]                               # (nb, 3)
 
-    qp = np.einsum("qk,tkd->tqd", bary, p)        # (nt, q, 2)
-    flat = qp.reshape(-1, 2)
-    ue = np.asarray(sol.eval(flat), dtype=float).reshape(qp.shape[:2])
-    ge = np.asarray(sol.grad(flat), dtype=float).reshape(qp.shape[:2] + (2,))
+        qp = np.einsum("qk,tkd->tqd", bary, p)        # (nb, q, 2)
+        flat = qp.reshape(-1, 2)
+        shape = qp.shape[:2]
+        ue = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
+        ge = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
 
-    uh_q = np.einsum("tk,qk->tq", vals, bary)
-    gh = np.einsum("tk,tkd->td", vals, grads)     # constant per triangle
+        uh_q = np.einsum("tk,qk->tq", vals, bary)
+        gh = np.einsum("tk,tkd->td", vals, p1_gradients(p))  # per triangle
 
-    e2 = np.einsum("tq,q,t->", (ue - uh_q) ** 2, wts, areas)
-    diff = ge - gh[:, None, :]
-    g2 = np.einsum("tqd,q,t->", diff ** 2, wts, areas)
+        e2 += np.einsum("tq,q,t->", (ue - uh_q) ** 2, wts, area)
+        diff = ge - gh[:, None, :]
+        g2 += np.einsum("tqd,q,t->", diff ** 2, wts, area)
     return math.sqrt(e2), math.sqrt(g2)
 
 
@@ -98,7 +123,7 @@ def _boundary_sq(quad, x):
 
 def energy_norm(mesh, quad, v):
     """sqrt( |grad v|^2 + sum over edges of (transported v)^2 / h )."""
-    v = np.asarray(v, dtype=float)
+    v = _nodal(mesh, v)
     p = mesh.vertices[mesh.triangles]
     gh = np.einsum("tk,tkd->td", v[mesh.triangles], p1_gradients(p))
     grad_term = float(np.einsum("td,td,t->", gh, gh, mesh.triangle_areas()))
@@ -131,7 +156,7 @@ def remainder_norm(mesh, quad, sol):
 def energy_error(mesh, quad, u_h, sol, h1):
     """Energy-norm error: the H1 part ``h1`` (from ``error_norms``) plus the
     transported boundary mismatch."""
-    s_h = _shift_values(mesh, quad, np.asarray(u_h, dtype=float))
+    s_h = _shift_values(mesh, quad, _nodal(mesh, u_h))
     bnd = _boundary_sq(quad, _exact_trace(mesh, quad, sol) - s_h)
     return math.sqrt(h1 * h1 + bnd)
 

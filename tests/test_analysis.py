@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from sbmlab import analysis as an
 from sbmlab import geometry as geo
 from sbmlab import linsolve
 from sbmlab import mesh as msh
-from sbmlab.assembly import build_boundary_quadrature
+from sbmlab.assembly import (TRI_RULE_DEG4, build_boundary_quadrature,
+                             p1_gradients)
 from conftest import make_problem
 
 
@@ -42,6 +45,79 @@ def test_interpolation_error_second_order():
         interp = np.asarray(sol.eval(mesh_.vertices))
         errs.append(an.error_norms(mesh_, interp, sol)[0])
     assert abs(errs[0] / errs[1] - 4.0) <= 0.4
+
+
+def _error_norms_oracle(mesh_, u_h, sol):
+    """Whole-array (L2, H1) errors: every quadrature point of every
+    triangle evaluated at once."""
+    bary, wts = TRI_RULE_DEG4
+    p = mesh_.vertices[mesh_.triangles]
+    areas = mesh_.triangle_areas()
+    grads = p1_gradients(p)
+    vals = u_h[mesh_.triangles]
+    qp = np.einsum("qk,tkd->tqd", bary, p)
+    flat = qp.reshape(-1, 2)
+    ue = np.asarray(sol.eval(flat), dtype=float).reshape(qp.shape[:2])
+    ge = np.asarray(sol.grad(flat), dtype=float).reshape(qp.shape[:2] + (2,))
+    uh_q = np.einsum("tk,qk->tq", vals, bary)
+    gh = np.einsum("tk,tkd->td", vals, grads)
+    e2 = np.einsum("tq,q,t->", (ue - uh_q) ** 2, wts, areas)
+    g2 = np.einsum("tqd,q,t->", (ge - gh[:, None, :]) ** 2, wts, areas)
+    return math.sqrt(e2), math.sqrt(g2)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 1 << 15])
+@pytest.mark.parametrize("name, sol_name, n",
+                         [("corner", "corner23", 40), ("disk", "sinsin", 32)])
+def test_error_norms_blocks_match_whole_array_oracle(monkeypatch, name,
+                                                     sol_name, n, block):
+    sol = geo.solution_by_name(sol_name)
+    mesh_ = msh.surrogate_mesh(geo.domain_by_name(name), n)
+    x, y = mesh_.vertices.T
+    u_h = np.asarray(sol.eval(mesh_.vertices)) + 1e-3 * np.sin(7 * x + y)
+    monkeypatch.setattr(an, "_ERROR_BLOCK", block)
+    l2, h1 = an.error_norms(mesh_, u_h, sol)
+    ref_l2, ref_h1 = _error_norms_oracle(mesh_, u_h, sol)
+    assert abs(l2 - ref_l2) <= 1e-13 * ref_l2
+    assert abs(h1 - ref_h1) <= 1e-13 * ref_h1
+
+
+def test_error_norms_memory_is_bounded_by_the_block():
+    sol = geo.solution_by_name("corner23")
+    mesh_ = msh.surrogate_mesh(geo.domain_by_name("corner"), 320)
+    interp = np.asarray(sol.eval(mesh_.vertices))
+    tracemalloc.start()
+    try:
+        an.error_norms(mesh_, interp, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-array evaluation peaked at 139.4 MB here
+    assert peak <= 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("extra", [3, -1])
+def test_nodal_field_of_wrong_length_is_rejected(corner_problem, extra):
+    _, sol, mesh_, quad, _ = corner_problem
+    v = np.zeros(mesh_.num_vertices + extra)
+    expect = re.escape(f"has shape ({v.size},), but the mesh has "
+                       f"{mesh_.num_vertices} vertices")
+    with pytest.raises(ValueError, match=expect):
+        an.error_norms(mesh_, v, sol)
+    with pytest.raises(ValueError, match=expect):
+        an.energy_norm(mesh_, quad, v)
+    with pytest.raises(ValueError, match=expect):
+        an.error_report(mesh_, quad, v, sol)
+
+
+def test_nodal_field_as_list_is_accepted(corner_problem):
+    _, sol, mesh_, quad, _ = corner_problem
+    v = np.linspace(0.0, 1.0, mesh_.num_vertices)
+    lst = v.tolist()
+    assert an.error_norms(mesh_, lst, sol) == an.error_norms(mesh_, v, sol)
+    assert an.energy_norm(mesh_, quad, lst) == an.energy_norm(mesh_, quad, v)
+    assert (an.error_report(mesh_, quad, lst, sol)
+            == an.error_report(mesh_, quad, v, sol))
 
 
 # ---------------------------------------------------------------------------
