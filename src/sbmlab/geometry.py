@@ -401,10 +401,10 @@ def make_corner_solution():
         th = _corner_angle(x[:, 0], x[:, 1])
         safe = np.where(rho > 0.0, rho, 1.0)
         dr = lam * safe ** (lam - 1.0)
-        psi = lam * th + phase
-        er = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        g = dr[:, None] * (np.sin(psi)[:, None] * er + np.cos(psi)[:, None] * et)
+        # sin(psi) e_r + cos(psi) e_theta with psi = lam*th + phase is
+        # (sin, cos) of psi - th
+        chi = (lam - 1.0) * th + phase
+        g = np.stack([dr * np.sin(chi), dr * np.cos(chi)], axis=-1)
         return np.where(rho[:, None] > 0.0, g, 0.0)
 
     def f(x):

@@ -199,15 +199,17 @@ def _damped_move(vertices, triangles, areas0, incident, v, target):
 def shift_boundary_nodes(mesh, domain, zeta, c_d):
     """Pull surrogate-boundary vertices toward the true boundary.
 
-    Vertices farther from the boundary than c_d * h^(1+zeta) (h = largest
-    incident diameter, pre-shift) move along their closest-point direction
-    onto that distance. Because straight edges sag away from a curved
-    boundary, additional repair rounds pull edge endpoints further until
-    every edge quadrature sample satisfies the same bound. Moves are damped
-    so each triangle keeps at least 20% of its pre-shift area. If the bound
-    still fails, a MeshError names the first fully blocked vertex, or else
-    an endpoint of the worst edge and the rounds used. Each round
-    re-projects only the vertices and edges that moved since the last one.
+    Every boundary edge must have each of its samples within
+    c_d * h_T^(1+zeta) of the true boundary, h_T the current diameter of
+    the edge's owner triangle. Each round pulls the endpoints of every edge
+    over this bound along their closest-point direction by the edge's
+    excess; because a vertex starts a boundary edge and its own position is
+    that edge's first sample, this also brings every vertex within its
+    bound. Moves are damped so each triangle keeps at least 20% of its
+    pre-shift area. If the bound still fails, a MeshError names the first
+    fully blocked vertex, or else an endpoint of the worst edge and the
+    rounds used. Each round makes one projection, of the edges with an
+    endpoint that moved since the last one.
     """
     if not 0.0 <= zeta <= 1.0:
         raise MeshError(f"zeta must be in [0, 1], got {zeta}")
@@ -217,7 +219,6 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     triangles = mesh.triangles
     nv = mesh.num_vertices
     areas0 = _signed_areas(vertices, triangles)
-    bverts = mesh.boundary_vertex_ids()
     # CSR incidence: the triangles of vertex v are tri_of[start[v]:start[v+1]]
     order = np.argsort(triangles.ravel(), kind="stable")
     start = np.searchsorted(triangles.ravel()[order], np.arange(nv + 1))
@@ -230,80 +231,63 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
 
     ev = mesh.edge_vertices
     owners = triangles[mesh.edge_owner]
-    # projections are cached and redone only for what moved since the last
-    # check; project_points works row by row, so a cached distance has the
-    # bits a fresh projection would give. NaN never compares equal, so the
-    # first check projects everything.
+    # projections are cached and redone only for edges with an endpoint
+    # that moved since the last check; project_points works row by row, so
+    # a cached distance has the bits a fresh projection would give. NaN
+    # never compares equal, so the first check projects everything.
     checked = np.full((nv, 2), np.nan)
     sample_max = np.empty(len(ev))
-    proj = np.empty((bverts.size, 2))
-    vdist = np.empty(bverts.size)
+    # closest point and distance of each boundary vertex: the first (tau=0)
+    # sample of the edge it starts
+    proj = np.empty((nv, 2))
+    vdist = np.empty(nv)
 
     def edge_excess():
-        # returns each edge's excess over its bound and the vertices that
-        # moved since the previous check
-        moved_v = np.any(vertices != checked, axis=1)
-        stale = moved_v[ev].any(axis=1)
+        stale = np.any(vertices != checked, axis=1)[ev].any(axis=1)
         if np.any(stale):
             a = vertices[ev[stale, 0]]
             b = vertices[ev[stale, 1]]
             samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
-            _, dist = _global_projection(domain, samples.reshape(-1, 2))
-            sample_max[stale] = dist.reshape(len(a), taus.size).max(axis=1)
+            p, dist = _global_projection(domain, samples.reshape(-1, 2))
+            dist = dist.reshape(len(a), taus.size)
+            sample_max[stale] = dist.max(axis=1)
+            proj[ev[stale, 0]] = p.reshape(len(a), taus.size, 2)[:, 0]
+            vdist[ev[stale, 0]] = dist[:, 0]
         checked[:] = vertices
         # diameters shrink when neighboring vertices converge on the
         # boundary, so the bound follows the current geometry
-        bound = c_d * _diameters(vertices, owners) ** (1.0 + zeta)
-        return sample_max - bound, moved_v
+        return sample_max - c_d * _diameters(vertices, owners) ** (1.0 + zeta)
 
     blocked = np.zeros(nv, dtype=bool)
     for round_ in range(_SHIFT_ROUNDS):
-        excess, moved_v = edge_excess()
-        if round_ > 0 and np.all(excess <= 1e-11):
-            break
-
-        # a vertex moves only in its own step, so its round-start projection
-        # is the one it moves along; only the last round's moves are stale
-        stale = moved_v[bverts]
-        if np.any(stale):
-            proj[stale], vdist[stale] = _global_projection(
-                domain, vertices[bverts[stale]])
-        pull = np.zeros(nv)
-        if round_ == 0:
-            # first pass: move each vertex onto its own distance bound
-            h_v = np.zeros(nv)
-            np.maximum.at(h_v, triangles.ravel(),
-                          np.repeat(_diameters(vertices, triangles), 3))
-            pull[bverts] = np.maximum(
-                vdist - c_d * h_v[bverts] ** (1.0 + zeta), 0.0)
+        excess = edge_excess()
         hot = excess > 1e-11
-        np.maximum.at(pull, ev[hot].ravel(), np.repeat(excess[hot], 2))
-        if not np.any(pull > 0.0):
+        if not np.any(hot):
             break
-
-        moved = False
-        for k in np.nonzero(pull[bverts] > 0.0)[0]:
-            v = bverts[k]
-            if vdist[k] <= 1e-15:
+        pull = np.zeros(nv)
+        np.maximum.at(pull, ev[hot].ravel(), np.repeat(excess[hot], 2))
+        # a vertex moves only in its own step, so its round-start projection
+        # is the one it moves along
+        for v in np.flatnonzero(pull > 0.0):
+            if vdist[v] <= 1e-15:
                 continue
-            direction = (proj[k] - vertices[v]) / vdist[k]
-            step = min(pull[v], vdist[k])
+            direction = (proj[v] - vertices[v]) / vdist[v]
+            step = min(pull[v], vdist[v])
             frac = _damped_move(vertices, triangles, areas0,
                                 tri_of[start[v]:start[v + 1]], v,
                                 vertices[v] + step * direction)
             if frac == 0.0:
                 blocked[v] = True
-            else:
-                moved = True
-        if not moved:
+        # stop when no coordinate changed: a damped move with a tiny frac
+        # rounds back onto the vertex's old position
+        if np.array_equal(vertices, checked):
             break
     else:
         # only the round cap leaves moved vertices behind the last check
-        excess, _ = edge_excess()
+        excess = edge_excess()
     if np.any(excess > 1e-9):
         stuck = np.flatnonzero(blocked)
-        culprit = (stuck[0] if stuck.size
-                   else mesh.edge_vertices[np.argmax(excess), 0])
+        culprit = stuck[0] if stuck.size else ev[np.argmax(excess), 0]
         cause = ("without violating the area floor" if stuck.size else
                  f"at the worst edge after {round_ + 1} rounds, with no "
                  "move fully blocked")

@@ -275,33 +275,56 @@ def _shift_reference(mesh, domain, zeta, c_d):
     return vertices
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 128])
-def test_shift_matches_per_vertex_reference(n):
-    disk = geo.make_disk_domain()
-    m = msh.surrogate_mesh(disk, n)
-    shifted = msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
-    reference = _shift_reference(m, disk, 0.5, 1.0)
+@pytest.mark.parametrize("name,n,zeta,c_d", [
+    pytest.param("disk", 8, 0.5, 1.0, id="8"),
+    pytest.param("disk", 16, 0.5, 1.0, id="16"),
+    pytest.param("disk", 32, 0.5, 1.0, id="32"),
+    pytest.param("disk", 128, 0.5, 1.0, id="128"),
+    pytest.param("corner", 8, 0.5, 1.0, id="corner-8"),
+    pytest.param("corner", 16, 0.5, 1.0, id="corner-16"),
+    pytest.param("disk", 32, 1.0, 0.5, id="32-zeta1-cd0.5"),
+])
+def test_shift_matches_per_vertex_reference(name, n, zeta, c_d):
+    dom = geo.domain_by_name(name)
+    m = msh.surrogate_mesh(dom, n)
+    shifted = msh.shift_boundary_nodes(m, dom, zeta, c_d)
+    reference = _shift_reference(m, dom, zeta, c_d)
     assert not np.array_equal(reference, m.vertices)
     np.testing.assert_array_equal(shifted.vertices, reference)
 
 
+@pytest.mark.parametrize("name,n", [("square", 8), ("square", 33),
+                                    ("disk", 8), ("disk", 32),
+                                    ("corner", 8), ("corner", 16)])
+def test_every_boundary_vertex_starts_a_boundary_edge(name, n):
+    # the shift reads each vertex's distance from the first sample of the
+    # edge it starts, so no boundary vertex may be only an edge end
+    dom = geo.domain_by_name(name)
+    m = msh.surrogate_mesh(dom, n)
+    for mesh in (m, msh.shift_boundary_nodes(m, dom, 0.5, 1.0)):
+        np.testing.assert_array_equal(np.unique(mesh.edge_vertices[:, 0]),
+                                      mesh.boundary_vertex_ids())
+
+
 def test_shift_failure_names_blocked_vertex():
-    # each resolution moves vertices in its 40th round, so the closing
-    # check after the round cap is the one that reports the excess
+    # each resolution stops before the round cap, at the first round whose
+    # moves change no coordinate; the excess is then the one checked at the
+    # start of that round
     disk = geo.make_disk_domain()
-    for n, where in ((40, "near vertex 1002 (excess 4.221e-04)"),
-                     (60, "near vertex 1171 (excess 9.323e-04)"),
-                     (80, "near vertex 4043 (excess 9.716e-04)"),
-                     (100, "near vertex 3225 (excess 9.204e-04)"),
-                     (119, "near vertex 9002 (excess 1.447e-04)"),
-                     (120, "near vertex 4626 (excess 8.528e-04)"),
-                     (176, "near vertex 17856 (excess 1.104e-04)")):
+    for n, where, rounds in ((40, "near vertex 1002 (excess 4.221e-04)", 28),
+                             (60, "near vertex 1171 (excess 9.323e-04)", 24),
+                             (80, "near vertex 4043 (excess 9.716e-04)", 30),
+                             (100, "near vertex 3225 (excess 9.204e-04)", 28),
+                             (119, "near vertex 9002 (excess 1.447e-04)", 28),
+                             (120, "near vertex 4626 (excess 8.528e-04)", 27),
+                             (160, "near vertex 12 (excess 7.261e-04)", 30),
+                             (176, "near vertex 17856 (excess 1.104e-04)", 28)):
         m = msh.surrogate_mesh(disk, n)
         with pytest.raises(MeshError) as info:
             msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
         assert str(info.value).endswith(
-            f"{where} at the worst edge after 40 rounds, with no move fully "
-            "blocked")
+            f"{where} at the worst edge after {rounds} rounds, with no move "
+            "fully blocked")
 
 
 def test_shift_failure_names_area_floor(monkeypatch):
@@ -319,41 +342,52 @@ def test_shift_failure_names_area_floor(monkeypatch):
 
 def test_shift_reprojects_only_what_moved(monkeypatch):
     disk = geo.make_disk_domain()
-    project = msh._global_projection
+    project, move = msh._global_projection, msh._damped_move
+    live = []
     calls = []
 
+    def moving(vertices, *args):
+        # keep the shift's working vertex array to snapshot it per call
+        live[:] = [vertices]
+        return move(vertices, *args)
+
     def recording(domain, pts):
-        # the caller tells edge-sample checks from vertex batches
-        calls.append((sys._getframe(1).f_code.co_name, pts.copy()))
+        calls.append((sys._getframe(1).f_code.co_name, pts.copy(),
+                      live[0].copy() if live else None))
         return project(domain, pts)
 
+    monkeypatch.setattr(msh, "_damped_move", moving)
     monkeypatch.setattr(msh, "_global_projection", recording)
+    gauss = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
+    taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
     # a full projection every round projects 8,544 points at n=32 (converges
-    # after 8 rounds of moves) and 200,410 at n=160 (fails after 40 rounds)
-    for n, most in ((32, 3_000), (160, 20_000)):
+    # after 8 rounds of moves) and 200,410 at n=160 (fails after 40 rounds);
+    # projecting only the edges with a moved endpoint takes 2,232 and 11,880
+    for n, most in ((32, 2_300), (160, 12_000)):
         m = msh.surrogate_mesh(disk, n)
+        live.clear()
         calls.clear()
         try:
             msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
         except MeshError:
             assert n == 160
-        callers = [name for name, _ in calls]
-        sizes = [len(pts) for _, pts in calls]
-        # at most one edge check and one vertex batch per round, plus the
-        # closing check after the round cap; round 0 projects everything,
-        # nine samples per edge
-        assert len(calls) <= 2 * msh._SHIFT_ROUNDS + 1
-        assert set(callers[0::2]) == {"edge_excess"}
-        assert set(callers[1::2]) == {"shift_boundary_nodes"}
-        assert sizes[:2] == [len(m.edge_vertices) * 9,
-                             m.boundary_vertex_ids().size]
-        assert sum(sizes) <= most
-        # no vertex batch repeats a coordinate pair already projected
-        seen = set()
-        for _, pts in calls[1::2]:
-            batch = set(map(tuple, pts.tolist()))
-            assert len(batch) == len(pts) and not batch & seen
-            seen |= batch
+        # one edge check per round, plus the closing check after the round
+        # cap; the first projects every edge, nine samples each
+        assert len(calls) <= msh._SHIFT_ROUNDS + 1
+        assert {name for name, _, _ in calls} == {"edge_excess"}
+        assert len(calls[0][1]) == len(m.edge_vertices) * 9
+        assert sum(len(pts) for _, pts, _ in calls) <= most
+        # every later check projects exactly the samples of the edges with
+        # an endpoint that moved since the check before it
+        before = m.vertices
+        for _, pts, now in calls[1:]:
+            moved = np.any(now != before, axis=1)
+            ev = m.edge_vertices[moved[m.edge_vertices].any(axis=1)]
+            assert len(ev) > 0
+            a, b = now[ev[:, 0]], now[ev[:, 1]]
+            want = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
+            np.testing.assert_array_equal(pts, want.reshape(-1, 2))
+            before = now
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
