@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import TRI_RULE_DEG4, edge_basis, p1_gradients, scatter
-from .linsolve import SolveError
+from .linsolve import SolveError, trim_heap
 from .mesh import mesh_params
 
 # errors at or below this are reported with the "exact" rate sentinel
@@ -228,6 +228,7 @@ def coercivity_estimate(sys, mesh, quad):
     m = energy_gram(mesh, quad).tocsc()
     if not np.any(m.diagonal()):
         raise SolveError("coercivity eigensolve: singular energy Gram matrix")
+    trim_heap()
     lam, x, shift = _min_eigpair(a_sym, m)
     mx = m @ x
     res = np.linalg.norm(a_sym @ x - lam * mx) / np.linalg.norm(lam * mx)

@@ -39,12 +39,12 @@ class SolveReport:
     method: str
 
 
-def _trim_heap():
-    """Return freed heap memory to the OS before the factor is allocated.
+def trim_heap():
+    """Return freed heap memory to the OS before a factor is allocated.
 
     Whether glibc keeps the assembly's freed scratch (about 17 MB at 23k
-    dofs) varies from run to run; the factor would land on top of it, and
-    the peak memory of a solve with it. No-op without ``malloc_trim``.
+    dofs) varies from run to run; a factor would land on top of it, and
+    the peak memory with it. No-op without ``malloc_trim``.
     """
     if _sys.platform.startswith("linux"):
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
@@ -76,7 +76,7 @@ def solve(sys, tol=DEFAULT_TOL):
     if bnorm == 0.0:
         return SolveReport(np.zeros(n), 0, 0.0, METHOD)
 
-    _trim_heap()
+    trim_heap()
     try:
         lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # e.g. "Factor is exactly singular"
