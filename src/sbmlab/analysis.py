@@ -207,7 +207,8 @@ def nonsymmetry_residual(sys, mesh, quad, w, v):
 
 class Coercivity(float):
     """lambda_min as a float; ``record`` holds the eigensolve's method, final
-    shift and relative residual ||A_sym x - lam M x|| / (|lam| ||M x||)."""
+    shift, relative residual ||A_sym x - lam M x|| / (|lam| ||M x||) and
+    the number of LU factorizations it made."""
 
     def __new__(cls, value, record):
         self = super().__new__(cls, value)
@@ -221,6 +222,8 @@ def coercivity_estimate(sys, mesh, quad):
     This is the smallest eigenvalue of the symmetric part of the system
     matrix against the energy Gram matrix, from one ARPACK shift-invert
     eigensolve (see ``_min_eigpair``): the minimum itself, not a bound.
+    The eigensolve holds one LU factor at a time; ``record`` counts its
+    factorizations (2 unless a shift is refused).
     May legitimately be non-positive when the penalty is too small.
     Raises SolveError, naming the shift, when the eigensolve fails.
     """
@@ -228,12 +231,12 @@ def coercivity_estimate(sys, mesh, quad):
     m = energy_gram(mesh, quad).tocsc()
     if not np.any(m.diagonal()):
         raise SolveError("coercivity eigensolve: singular energy Gram matrix")
-    trim_heap()
-    lam, x, shift = _min_eigpair(a_sym, m)
+    lam, x, shift, factorizations = _min_eigpair(a_sym, m)
     mx = m @ x
     res = np.linalg.norm(a_sym @ x - lam * mx) / np.linalg.norm(lam * mx)
     return Coercivity(lam, {"method": "arpack-shift-invert", "shift": shift,
-                            "eigen_residual": float(res)})
+                            "eigen_residual": float(res),
+                            "factorizations": factorizations})
 
 
 def _factor_below(a_sym, m, shift):
@@ -242,11 +245,15 @@ def _factor_below(a_sym, m, shift):
     SuperLU is held to diagonal pivots (perm_r == perm_c confirms it), so
     the factorization is L D L^T with D = diag(U), and by Sylvester's law
     of inertia the shift lies strictly below every eigenvalue of (a_sym, m)
-    exactly when D > 0.
+    exactly when D > 0. The heap is trimmed just before the factor is
+    allocated, so that it does not land on pages glibc kept from the
+    assembly or from an earlier factor.
     """
+    shifted = (a_sym - shift * m).tocsc()
+    trim_heap()
     try:
-        lu = spla.splu((a_sym - shift * m).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular: the shift is an eigenvalue
         return None
@@ -257,34 +264,44 @@ def _factor_below(a_sym, m, shift):
 
 
 def _min_eigpair(a_sym, m):
-    """(lambda_min, x, shift) of a_sym x = lambda m x by ARPACK shift-invert.
+    """(lambda_min, x, shift, factorizations) of a_sym x = lambda m x by
+    ARPACK shift-invert.
 
     A function vanishing on the boundary triangles has ratio exactly 1, so
     the first shift tried is -1, doubled until the inertia test puts it
-    below the spectrum. A tol-1e-3 solve there bounds lambda_min from
-    above; the tight solve re-shifts below that estimate, where the bottom
-    eigenvalues separate better, unless the inertia test shows that the
-    re-shift would pass lambda_min.
+    below the spectrum. A tol-1e-2 solve there gives a Ritz value, an upper
+    bound on lambda_min. The tight solve re-shifts 2% below it (at least
+    0.02): the rate of shift-invert Lanczos goes with
+    (lambda_2 - lambda_1) / (lambda_1 - shift), and the bottom eigenvalues
+    are clustered. The first factor is dropped before the second is built,
+    so one factor is alive at a time; if the inertia test shows that the
+    re-shift would pass lambda_min, the first shift is factored again.
     """
-    shift = -1.0
+    shift, factorizations = -1.0, 1
     while (op := _factor_below(a_sym, m, shift)) is None:
         if shift < -1e12:
             raise SolveError("coercivity eigensolve: no shift below the "
                              f"spectrum down to {shift:.1e}")
         shift *= 2.0
+        factorizations += 1
     start = np.random.default_rng(0).uniform(-1.0, 1.0, a_sym.shape[0])
     try:
         lam, x = spla.eigsh(a_sym, k=1, M=m, sigma=shift, OPinv=op,
-                            v0=start, tol=1e-3)
-        near = lam[0] - 0.1 * max(1.0, abs(lam[0]))
-        if (op_near := _factor_below(a_sym, m, near)) is not None:
-            shift, op = float(near), op_near
+                            v0=start, tol=1e-2)
+        near = float(lam[0] - 0.02 * max(1.0, abs(lam[0])))
+        op = None  # free the first factor before the second is allocated
+        factorizations += 1
+        if (op := _factor_below(a_sym, m, near)) is not None:
+            shift = near
+        else:
+            factorizations += 1
+            op = _factor_below(a_sym, m, shift)
         lam, x = spla.eigsh(a_sym, k=1, M=m, sigma=shift, OPinv=op,
                             v0=x[:, 0], tol=1e-12)
     except spla.ArpackError as err:
         raise SolveError(f"coercivity eigensolve (ARPACK shift-invert, "
                          f"shift {shift:.6e}) failed: {err}") from err
-    return float(lam[0]), x[:, 0], shift
+    return float(lam[0]), x[:, 0], shift, factorizations
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ class SolveReport:
 def trim_heap():
     """Return freed heap memory to the OS before a factor is allocated.
 
-    Whether glibc keeps the assembly's freed scratch (about 17 MB at 23k
-    dofs) varies from run to run; a factor would land on top of it, and
-    the peak memory with it. No-op without ``malloc_trim``.
+    Called by ``solve`` and before every factorization of the coercivity
+    eigensolve (``analysis._factor_below``). Whether glibc keeps freed
+    scratch, the assembly's (about 17 MB at 23k dofs) or an earlier
+    factor's, varies from run to run; a new factor would land on top of
+    it, and the peak memory with it. No-op without ``malloc_trim``.
     """
     if _sys.platform.startswith("linux"):
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,23 +273,68 @@ def test_shift_inertia_test_brackets_the_minimum(corner_problem):
     assert an._factor_below(a_sym, gram, dense + 1e-6) is None
 
 
+def _watch_factors(monkeypatch, refuse=()):
+    """Wrap ``_factor_below`` to log each shift, refuse the calls whose index
+    is in ``refuse``, and assert on each call that every operator returned
+    before is dead. An operator's matvec is bound to its SuperLU factor, so
+    a dead operator means a freed factor."""
+    real = an._factor_below
+    shifts, earlier = [], []
+
+    def watched(a_sym, m, shift):
+        assert all(ref() is None for ref in earlier)
+        shifts.append(shift)
+        op = None if len(shifts) - 1 in refuse else real(a_sym, m, shift)
+        if op is not None:
+            earlier.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(an, "_factor_below", watched)
+    return shifts
+
+
+def test_coercivity_holds_one_factor_at_a_time(corner_problem, monkeypatch):
+    _, _, mesh_, quad, system = corner_problem
+    shifts = _watch_factors(monkeypatch)
+    alpha = an.coercivity_estimate(system, mesh_, quad)
+    assert len(shifts) == alpha.record["factorizations"] == 2
+    assert alpha.record["shift"] == shifts[1]
+
+
 def test_coercivity_keeps_first_shift_when_reshift_is_rejected(
         corner_problem, monkeypatch):
     # when the inertia test rejects the shift near the rough estimate, the
-    # tight solve runs at the first shift and still finds the minimum
+    # first shift is factored again and the tight solve still finds the
+    # minimum there
     _, _, mesh_, quad, system = corner_problem
-    real = an._factor_below
-    shifts = []
-
-    def first_only(a_sym, m, shift):
-        shifts.append(shift)
-        return real(a_sym, m, shift) if len(shifts) == 1 else None
-
-    monkeypatch.setattr(an, "_factor_below", first_only)
+    shifts = _watch_factors(monkeypatch, refuse={1})
     alpha = an.coercivity_estimate(system, mesh_, quad)
     dense = dense_min_eig(system, mesh_, quad)
-    assert len(shifts) == 2 and alpha.record["shift"] == shifts[0] < 0.0
+    s0, near = shifts[0], shifts[1]
+    assert shifts == [s0, near, s0] and s0 < 0.0 < near
+    assert alpha.record["shift"] == s0
+    assert alpha.record["factorizations"] == 3
     assert abs(alpha - dense) <= 1e-8 * max(1.0, abs(dense))
+
+
+@pytest.mark.parametrize("name,solution,zeta", [
+    pytest.param("square", "sinsin", None, id="square"),
+    pytest.param("disk", "sinsin", None, id="disk"),
+    pytest.param("disk", "sinsin", 0.5, id="shifted-disk"),
+    pytest.param("corner", "corner23", None, id="corner"),
+])
+@pytest.mark.parametrize("gamma", [0.01, 10.0])
+def test_coercivity_survey_matches_dense_oracle(name, solution, zeta, gamma):
+    _, _, mesh_, quad, system = make_problem(name, solution, 24, gamma=gamma,
+                                             zeta=zeta)
+    alpha = an.coercivity_estimate(system, mesh_, quad)
+    dense = dense_min_eig(system, mesh_, quad)
+    assert abs(alpha - dense) <= 1e-8 * max(1.0, abs(dense))
+    assert alpha.record["shift"] < alpha
+    # one factorization per shift doubling from -1 to below the spectrum,
+    # then one at the re-shift: no fallback to the first shift
+    doublings = next(k for k in itertools.count() if -2.0 ** k < dense)
+    assert alpha.record["factorizations"] == 2 + doublings
 
 
 def test_coercivity_without_shift_below_spectrum_raises(corner_problem,

@@ -136,6 +136,7 @@ def test_verify_passes_with_default_penalty(tmp_path, capsys):
     assert coerc["method"] == "arpack-shift-invert"
     assert coerc["shift"] < coerc["measured"]
     assert coerc["eigen_residual"] <= 1e-8
+    assert coerc["factorizations"] == 2
     assert "PASS" in capsys.readouterr().out
 
 
@@ -173,6 +174,20 @@ def test_verify_checks_distance_bound_when_shifting(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     by_name = {e["check"]: e for e in report}
     assert by_name["distance_smallness"]["pass"]
+    assert by_name["distance_smallness"]["measured"] <= 1.0 + 1e-9
+
+
+def test_verify_passes_on_shifted_disk_at_n0_128(tmp_path):
+    # the coercivity eigensolve on a node-shifted mesh (at n0=160 the
+    # shift itself still fails)
+    code = cli.main(["verify", "--domain", "disk", "--solution", "sinsin",
+                     "--shift", "--zeta", "0.5", "--n0", "128",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert len(report) == 6 and all(e["pass"] for e in report)
+    by_name = {e["check"]: e for e in report}
+    assert by_name["coercivity_positive"]["measured"] > 0.0
     assert by_name["distance_smallness"]["measured"] <= 1.0 + 1e-9
 
 
