@@ -30,12 +30,15 @@ class Sideset:
     ``curve`` maps t in [0, 1] to points (vectorized: (m,) -> (m, 2)),
     ``normal`` returns the outward unit normal at curve(t), and
     ``dirichlet_g`` (optional) the Dirichlet datum along the curve.
+    ``closest`` (optional) maps (m, 2) points to the parameters of their
+    closest points in closed form; without it projection searches.
     """
 
     sid: int
     curve: Callable
     normal: Callable
     dirichlet_g: Optional[Callable] = None
+    closest: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -84,15 +87,9 @@ def _sqdist(sideset, t, pts):
     return _sqnorm(sideset.curve(t) - pts)
 
 
-def project_points(sideset, pts):
-    """Project points onto a sideset curve; returns (t, p, dist) arrays.
-
-    Seeds 64 uniform parameter intervals, runs a vectorized golden-section
-    search on the squared distance in the best bracket, then polishes with a
-    few guarded Newton steps (central differences). Parameter tolerance is
-    1e-12, which keeps projected points on the curve to ~1e-12.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def _search(sideset, pts):
+    """Parameters of the closest points by seeded golden-section search on
+    the squared distance, then a few guarded Newton steps."""
     ts = np.linspace(0.0, 1.0, _NSEEDS + 1)
     cs = sideset.curve(ts)
     if not np.all(np.isfinite(cs)):
@@ -134,7 +131,24 @@ def project_points(sideset, pts):
         tn = np.clip(np.where(ok, tt - step, t), 0.0, 1.0)
         # strict improvement only: ties are numerical noise near the minimum
         t = np.where(_sqdist(sideset, tn, pts) < _sqdist(sideset, t, pts), tn, t)
+    return t
 
+
+def project_points(sideset, pts):
+    """Project points onto a sideset curve; returns (t, p, dist) arrays.
+
+    A sideset with ``closest`` (segments and circles) gives t in closed
+    form. Any other curve is searched: 64 uniform parameter seeds, a
+    vectorized golden-section search on the squared distance in the best
+    bracket, then a few guarded Newton steps (central differences), to a
+    parameter tolerance of 1e-12. Either way p = curve(t), so projected
+    points lie on the curve.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if sideset.closest is not None:
+        t = sideset.closest(pts)
+    else:
+        t = _search(sideset, pts)
     p = sideset.curve(t)
     dist = np.sqrt(_sqnorm(p - pts))
     if not np.all(np.isfinite(dist)):
@@ -211,16 +225,20 @@ def _segment_sideset(sid, p0, p1, outward):
     p1 = np.asarray(p1, dtype=float)
     outward = np.asarray(outward, dtype=float)
     outward = outward / np.linalg.norm(outward)
+    e = p1 - p0
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        return p0 + t[..., None] * (p1 - p0)
+        return p0 + t[..., None] * e
 
     def normal(t):
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(outward, t.shape + (2,)).copy()
 
-    return Sideset(sid=sid, curve=curve, normal=normal)
+    def closest(x):
+        return np.clip((x - p0) @ e / (e @ e), 0.0, 1.0)
+
+    return Sideset(sid=sid, curve=curve, normal=normal, closest=closest)
 
 
 def make_square_domain(lo=(0.0, 0.0), hi=(1.0, 1.0), bbox=None):
@@ -259,12 +277,16 @@ def make_disk_domain(center=(0.5, 0.5), radius=0.45, bbox=(0.0, 0.0, 1.0, 1.0)):
         ang = 2.0 * np.pi * t
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
+    def closest(x):
+        ang = np.arctan2(x[:, 1] - cy, x[:, 0] - cx)
+        return np.mod(ang / (2.0 * np.pi), 1.0)
+
     def inside(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return (x[:, 0] - cx) ** 2 + (x[:, 1] - cy) ** 2 <= (r + _SLACK) ** 2
 
-    return DomainSpec("disk", (Sideset(1, curve, normal),), inside,
-                      tuple(float(v) for v in bbox))
+    return DomainSpec("disk", (Sideset(1, curve, normal, closest=closest),),
+                      inside, tuple(float(v) for v in bbox))
 
 
 # re-entrant corner test domain: bottom boundary y = -|arctan x| on

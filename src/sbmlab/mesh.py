@@ -60,11 +60,14 @@ class TriMesh:
 
 
 def _signed_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    return _corner_areas(vertices[triangles[:, 0]], vertices[triangles[:, 1]],
+                         vertices[triangles[:, 2]])
+
+
+def _corner_areas(p0, p1, p2):
+    """Signed areas of the triangles with corners p0, p1, p2 (..., 2)."""
+    return 0.5 * ((p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
+                  - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0]))
 
 
 def _diameters(vertices, triangles):
@@ -170,6 +173,7 @@ def mesh_params(mesh):
 
 _AREA_FLOOR = 0.2
 _SHIFT_ROUNDS = 40
+_HALVINGS = 0.5 ** np.arange(60)  # damped-move fractions 1, 1/2, ..., 2^-59
 
 
 def _global_projection(domain, pts):
@@ -182,18 +186,22 @@ def _global_projection(domain, pts):
 
 
 def _damped_move(vertices, triangles, areas0, incident, v, target):
-    """Move vertex v toward target, bisecting until incident areas stay
-    above the floor; returns the achieved fraction of the move."""
-    orig = vertices[v].copy()
-    frac = 1.0
-    for _ in range(60):
-        vertices[v] = orig + frac * (target - orig)
-        a = _signed_areas(vertices, triangles[incident])
-        if np.all(a >= _AREA_FLOOR * areas0[incident]):
-            return frac
-        frac *= 0.5
-    vertices[v] = orig
-    return 0.0
+    """Move vertex v toward target by the largest fraction 2^-k, k < 60,
+    that keeps each incident triangle at or above the area floor; all 60
+    candidate positions are checked in one array expression. Returns the
+    fraction, or 0.0 with v left where it was."""
+    orig = vertices[v]
+    cand = orig + _HALVINGS[:, None] * (target - orig)  # (60, 2)
+    tris = triangles[incident]
+    p = np.repeat(vertices[tris][None], _HALVINGS.size, axis=0)
+    p[:, tris == v] = cand[:, None, :]
+    a = _corner_areas(p[..., 0, :], p[..., 1, :], p[..., 2, :])
+    ok = (a >= _AREA_FLOOR * areas0[incident]).all(axis=1)
+    k = ok.argmax()
+    if not ok[k]:
+        return 0.0
+    vertices[v] = cand[k]
+    return float(_HALVINGS[k])
 
 
 def shift_boundary_nodes(mesh, domain, zeta, c_d):

@@ -35,12 +35,11 @@ def dense_projection(curve, q, lo=0.0, hi=1.0, n=1_000_000, stages=2):
 # ---------------------------------------------------------------------------
 
 def test_closest_point_segment():
-    # the minimizer locates t only up to sqrt(eps)*dist comparison noise,
-    # while the distance itself is quadratically insensitive to it
+    # segments project in closed form, so t and p are exact to rounding
     square = geo.make_square_domain()
     t, p, dist = geo.project_points(square.sidesets[0], [[0.3, 0.1]])
-    assert abs(t[0] - 0.3) <= 1e-8
-    np.testing.assert_allclose(p[0], [0.3, 0.0], atol=1e-8)
+    assert abs(t[0] - 0.3) <= 1e-15
+    np.testing.assert_allclose(p[0], [0.3, 0.0], atol=1e-15)
     assert abs(dist[0] - 0.1) <= 1e-12
 
 
@@ -75,15 +74,49 @@ def test_sqdist_matches_summed_squares(rng):
                                   (r ** 2).sum(axis=-1))
 
 
-def test_projection_optimality(rng):
-    ss = arctan_sideset()
-    ts = rng.uniform(0.0, 1.0, 1000)
-    curve_pts = ss.curve(ts)
-    for q in ([0.2, -0.05], [-0.4, 0.3], [0.0, -0.7]):
-        q = np.array(q)
-        _, _, (dist,) = geo.project_points(ss, q[None, :])
-        others = np.hypot(curve_pts[:, 0] - q[0], curve_pts[:, 1] - q[1])
-        assert dist <= others.min() + 1e-10
+def _on_arctan(p):
+    return np.abs(p[:, 1] + np.abs(np.arctan(p[:, 0])))
+
+
+def _on_disk(p):
+    return np.abs(np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5) - 0.45)
+
+
+def _on_right_wall(p):
+    # x = 0.6 between the branch end and the lid
+    y0, y1 = -np.arctan(0.6), 0.55
+    return (np.abs(p[:, 0] - 0.6) + np.maximum(y0 - p[:, 1], 0.0)
+            + np.maximum(p[:, 1] - y1, 0.0))
+
+
+@pytest.mark.parametrize("make,on_curve,special", [
+    pytest.param(arctan_sideset, _on_arctan,
+                 [[0.2, -0.05], [-0.4, 0.3], [0.0, -0.7], [0.0, 0.2]],
+                 id="arctan"),
+    # a point whose closest point lies just below t = 1, next to the seam
+    # where a search's seeds t=0 and t=1 tie exactly, and the centre,
+    # equidistant from the whole circle
+    pytest.param(lambda: geo.make_disk_domain().sidesets[0], _on_disk,
+                 [[0.7726626691213382, 0.48661285618218597],
+                  [0.5, 0.5], [0.95, 0.5], [1.2, 0.5 - 1e-9]],
+                 id="disk"),
+    # points past both ends of the segment and on its line
+    pytest.param(lambda: geo.make_corner_domain().sidesets[2],
+                 _on_right_wall,
+                 [[0.7, 0.9], [0.5, -0.9], [0.6, 2.0], [0.6, -2.0],
+                  [0.6, 0.1], [-0.6, 0.0]],
+                 id="corner-wall"),
+])
+def test_projection_optimality(rng, make, on_curve, special):
+    ss = make()
+    pts = np.vstack([special, rng.uniform(-0.8, 1.0, (40, 2))])
+    t, p, dist = geo.project_points(ss, pts)
+    assert on_curve(p).max() <= 1e-12
+    assert ((t >= 0.0) & (t <= 1.0)).all()
+    np.testing.assert_allclose(dist, np.hypot(*(p - pts).T), rtol=1e-15)
+    dense = ss.curve(np.linspace(0.0, 1.0, 200_001))
+    for q, d in zip(pts, dist):
+        assert d <= np.hypot(*(dense - q).T).min() + 1e-12, q
 
 
 # ---------------------------------------------------------------------------
