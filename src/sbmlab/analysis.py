@@ -46,6 +46,12 @@ def _nodal(mesh, v):
 _ERROR_BLOCK = 1 << 15
 
 
+def _p1_gradient(vals, p):
+    """Gradient (nt, 2) of the P1 field with vertex values vals (nt, 3) on
+    triangles p (nt, 3, 2)."""
+    return np.matmul(vals[:, None, :], p1_gradients(p))[:, 0]
+
+
 def error_norms(mesh, u_h, sol):
     """(L2, H1-seminorm) errors of a nodal field against the exact solution,
     with the degree-4 triangle rule.
@@ -66,18 +72,18 @@ def error_norms(mesh, u_h, sol):
         p = mesh.vertices[tri]                        # (nb, 3, 2)
         vals = u_h[tri]                               # (nb, 3)
 
-        qp = np.einsum("qk,tkd->tqd", bary, p)        # (nb, q, 2)
+        qp = np.matmul(bary, p)                       # (nb, q, 2)
         flat = qp.reshape(-1, 2)
         shape = qp.shape[:2]
         ue = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
         ge = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
 
-        uh_q = np.einsum("tk,qk->tq", vals, bary)
-        gh = np.einsum("tk,tkd->td", vals, p1_gradients(p))  # per triangle
+        uh_q = np.matmul(vals, bary.T)
+        gh = _p1_gradient(vals, p)                    # per triangle
 
-        e2 += np.einsum("tq,q,t->", (ue - uh_q) ** 2, wts, area)
+        e2 += np.matmul((ue - uh_q) ** 2, wts) @ area
         diff = ge - gh[:, None, :]
-        g2 += np.einsum("tqd,q,t->", diff ** 2, wts, area)
+        g2 += np.matmul(diff[..., 0] ** 2 + diff[..., 1] ** 2, wts) @ area
     return math.sqrt(e2), math.sqrt(g2)
 
 
@@ -124,17 +130,18 @@ def _boundary_sq(quad, x):
 def energy_norm(mesh, quad, v):
     """sqrt( |grad v|^2 + sum over edges of (transported v)^2 / h )."""
     v = _nodal(mesh, v)
-    p = mesh.vertices[mesh.triangles]
-    gh = np.einsum("tk,tkd->td", v[mesh.triangles], p1_gradients(p))
-    grad_term = float(np.einsum("td,td,t->", gh, gh, mesh.triangle_areas()))
+    gh = _p1_gradient(v[mesh.triangles], mesh.vertices[mesh.triangles])
+    grad_term = float((gh[:, 0] ** 2 + gh[:, 1] ** 2) @ mesh.triangle_areas())
     bnd_term = _boundary_sq(quad, _shift_values(mesh, quad, v))
     return math.sqrt(grad_term + bnd_term)
 
 
 def energy_gram(mesh, quad):
     """Sparse Gram matrix of the energy norm, independent of ``assemble``."""
-    grads = p1_gradients(mesh.vertices[mesh.triangles])
-    k_loc = np.einsum("tid,tjd,t->tij", grads, grads, mesh.triangle_areas())
+    g = p1_gradients(mesh.vertices[mesh.triangles])
+    a = mesh.triangle_areas()[:, None, None]
+    k_loc = (g[:, :, None, 0] * g[:, None, :, 0] * a
+             + g[:, :, None, 1] * g[:, None, :, 1] * a)
     etri, _, _, sh = edge_basis(mesh, quad)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)

@@ -90,12 +90,16 @@ TRI_RULE_DEG4 = (
 def p1_gradients(tri_vertices):
     """Constant basis gradients on triangles; (..., 3, 2) -> (..., 3, 2)."""
     p = np.asarray(tri_vertices, dtype=float)
-    e = np.stack([p[..., 2, :] - p[..., 1, :],
-                  p[..., 0, :] - p[..., 2, :],
-                  p[..., 1, :] - p[..., 0, :]], axis=-2)
+    e = np.empty_like(p)      # edge vectors opposite each vertex
+    np.subtract(p[..., 2, :], p[..., 1, :], out=e[..., 0, :])
+    np.subtract(p[..., 0, :], p[..., 2, :], out=e[..., 1, :])
+    np.subtract(p[..., 1, :], p[..., 0, :], out=e[..., 2, :])
     area2 = (e[..., 2, 0] * (-e[..., 1, 1]) - e[..., 2, 1] * (-e[..., 1, 0]))
-    perp = np.stack([-e[..., 1], e[..., 0]], axis=-1)
-    return perp / area2[..., None, None]
+    g = np.empty_like(p)      # edge vectors rotated by +90 degrees
+    np.negative(e[..., 1], out=g[..., 0])
+    g[..., 1] = e[..., 0]
+    g /= area2[..., None, None]
+    return g
 
 
 def p1_values(tri_vertices, x):
@@ -172,10 +176,13 @@ def scatter(nv, *blocks):
     """Sum local 3 x 3 matrices into one (nv, nv) CSR matrix. Each block is
     (vertex ids (m, 3), values (m, 3, 3)); entry [k, i, j] lands at
     (ids[k, i], ids[k, j]). scipy's COO -> CSR conversion sums duplicates
-    and sorts the indices, so the result is in canonical form."""
-    rows = np.concatenate([np.repeat(ids, 3, axis=1).ravel()
-                           for ids, _ in blocks])
-    cols = np.concatenate([np.tile(ids, (1, 3)).ravel() for ids, _ in blocks])
+    and sorts the indices, so the result is in canonical form. The indices
+    are built as int32 when they fit, the type scipy would convert them to,
+    so no int64 copies are held at the peak of the assembly."""
+    itype = np.int32 if nv <= np.iinfo(np.int32).max else np.int64
+    ids = np.concatenate([ids for ids, _ in blocks], dtype=itype)
+    rows = np.repeat(ids, 3, axis=1).ravel()
+    cols = np.tile(ids, (1, 3)).ravel()
     data = np.concatenate([vals.ravel() for _, vals in blocks])
     return sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
 
@@ -197,14 +204,23 @@ def assemble(mesh, quad, sol, gamma):
     areas = mesh.triangle_areas()
     grads = p1_gradients(p)                      # (nt, 3, 2)
 
-    # interior stiffness, exact for constant gradients
-    k_loc = np.einsum("tid,tjd,t->tij", grads, grads, areas)
+    # interior stiffness, exact for constant gradients, one symmetric pair
+    # of entries at a time (no (nt, 3, 3) temporaries). The per-triangle
+    # kernels are products and matmuls, not multi-operand einsums, which
+    # run numpy's unbuffered loops.
+    gx, gy = grads[..., 0], grads[..., 1]
+    k_loc = np.empty((len(tris), 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            k_loc[:, i, j] = k_loc[:, j, i] = (gx[:, i] * gx[:, j] * areas
+                                               + gy[:, i] * gy[:, j] * areas)
 
     # source term with the degree-2 rule
     bary, wtri = TRI_RULE_DEG2
-    qp = np.einsum("qk,tkd->tqd", bary, p)       # (nt, q, 2)
+    qp = np.matmul(bary, p)                      # (nt, q, 2)
     fq = np.asarray(sol.rhs_f(qp.reshape(-1, 2)), dtype=float).reshape(qp.shape[:2])
-    b_loc = np.einsum("tq,qk,q,t->tk", fq, bary, wtri, areas)
+    b_loc = sum(fq[:, q, None] * bary[q] * wtri[q] * areas[:, None]
+                for q in range(len(wtri)))
     rhs = np.zeros(nv)
     np.add.at(rhs, tris.ravel(), b_loc.ravel())
 

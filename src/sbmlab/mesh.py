@@ -137,20 +137,33 @@ def surrogate_mesh(domain, n):
     """Surrogate mesh: the triangles of the n x n grid on ``domain.bbox``
     (n >= 2 subdivisions per axis) fully contained in the closed domain.
 
-    Containment is tested at seven points per triangle: the vertices, the
-    edge midpoints and the centroid. The kept vertices are numbered in
-    grid order.
+    A triangle is kept when seven points pass ``domain.inside``: its
+    vertices, its edge midpoints 0.5 * (a + b) and its centroid
+    ((a + b) + c) / 3. Each distinct point of the grid is tested once (every
+    vertex, every horizontal, vertical and diagonal edge midpoint and every
+    centroid), and the tests are combined per triangle. The kept vertices
+    are numbered in grid order.
     """
     # the grid's temporaries die with _grid's frame, before the probes
     # peak; building the grid inline here raises the peak RSS
     vertices, triangles = _grid(domain.bbox, n)
-    p = vertices[triangles]  # (nt, 3, 2)
-    probes = np.concatenate([
-        p,
-        0.5 * (p + np.roll(p, -1, axis=1)),
-        p.mean(axis=1, keepdims=True),
-    ], axis=1)  # (nt, 7, 2)
-    ok = domain.inside(probes.reshape(-1, 2)).reshape(-1, 7).all(axis=1)
+    v = vertices.reshape(n + 1, n + 1, 2)       # [row=j, col=i]
+    sw, se, nw, ne = v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]
+
+    def inside(points):
+        return domain.inside(points.reshape(-1, 2)).reshape(points.shape[:-1])
+
+    at_vertex = inside(v)
+    horizontal = inside(0.5 * (v[:, :-1] + v[:, 1:]))   # (n + 1, n)
+    vertical = inside(0.5 * (v[:-1] + v[1:]))           # (n, n + 1)
+    # the SW-NE diagonal and its end points are shared by both triangles
+    shared = at_vertex[:-1, :-1] & at_vertex[1:, 1:] & inside(0.5 * (sw + ne))
+    # lower (sw, se, ne) and upper (sw, ne, nw) triangle of every cell
+    lower = (shared & at_vertex[:-1, 1:] & horizontal[:-1] & vertical[:, 1:]
+             & inside(((sw + se) + ne) / 3.0))
+    upper = (shared & at_vertex[1:, :-1] & horizontal[1:] & vertical[:, :-1]
+             & inside(((sw + ne) + nw) / 3.0))
+    ok = np.stack([lower, upper], axis=-1).ravel()
     if not np.any(ok):
         raise MeshError("surrogate domain empty; refine mesh")
     kept = triangles[ok]
@@ -162,7 +175,9 @@ def surrogate_mesh(domain, n):
 def mesh_params(mesh):
     """(h_Gamma, h_Omega): max diameter near the boundary and overall."""
     h_omega = float(mesh.h_per_triangle.max())
-    touching = np.isin(mesh.triangles, mesh.boundary_vertex_ids()).any(axis=1)
+    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    on_boundary[mesh.edge_vertices] = True
+    touching = on_boundary[mesh.triangles].any(axis=1)
     h_gamma = float(mesh.h_per_triangle[touching].max())
     return h_gamma, h_omega
 
@@ -187,21 +202,30 @@ def _global_projection(domain, pts):
 
 def _damped_move(vertices, triangles, areas0, incident, v, target):
     """Move vertex v toward target by the largest fraction 2^-k, k < 60,
-    that keeps each incident triangle at or above the area floor; all 60
-    candidate positions are checked in one array expression. Returns the
-    fraction, or 0.0 with v left where it was."""
+    that keeps each incident triangle at or above the area floor. The full
+    step is checked first, since nearly every move takes it; the other 59
+    candidate positions are checked in one array expression only when it
+    is refused. Returns the fraction, or 0.0 with v left where it was."""
     orig = vertices[v]
-    cand = orig + _HALVINGS[:, None] * (target - orig)  # (60, 2)
+    step = target - orig
     tris = triangles[incident]
-    p = np.repeat(vertices[tris][None], _HALVINGS.size, axis=0)
-    p[:, tris == v] = cand[:, None, :]
+    at_v = tris == v
+    floor = _AREA_FLOOR * areas0[incident]
+    p = vertices[tris]
+    p[at_v] = orig + step
+    if np.all(_corner_areas(p[:, 0], p[:, 1], p[:, 2]) >= floor):
+        vertices[v] = orig + step
+        return 1.0
+    cand = orig + _HALVINGS[1:, None] * step  # (59, 2)
+    p = np.repeat(p[None], len(cand), axis=0)
+    p[:, at_v] = cand[:, None, :]
     a = _corner_areas(p[..., 0, :], p[..., 1, :], p[..., 2, :])
-    ok = (a >= _AREA_FLOOR * areas0[incident]).all(axis=1)
+    ok = (a >= floor).all(axis=1)
     k = ok.argmax()
     if not ok[k]:
         return 0.0
     vertices[v] = cand[k]
-    return float(_HALVINGS[k])
+    return float(_HALVINGS[1 + k])
 
 
 def shift_boundary_nodes(mesh, domain, zeta, c_d):

@@ -218,3 +218,77 @@ def test_csr_layout(corner_problem):
     for row in range(system.dim):
         cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
         assert np.all(np.diff(cols) > 0)  # sorted, no duplicates
+
+
+def _stacked_p1_gradients(tri_vertices):
+    """p1_gradients written with np.stack (oracle)."""
+    p = np.asarray(tri_vertices, dtype=float)
+    e = np.stack([p[..., 2, :] - p[..., 1, :],
+                  p[..., 0, :] - p[..., 2, :],
+                  p[..., 1, :] - p[..., 0, :]], axis=-2)
+    area2 = (e[..., 2, 0] * (-e[..., 1, 1]) - e[..., 2, 1] * (-e[..., 1, 0]))
+    perp = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+    return perp / area2[..., None, None]
+
+
+def _einsum_assemble(mesh_, quad, sol, gamma):
+    """assemble with every per-triangle kernel as one np.einsum (oracle)."""
+    nv = mesh_.num_vertices
+    tris = mesh_.triangles
+    p = mesh_.vertices[tris]
+    areas = mesh_.triangle_areas()
+    grads = _stacked_p1_gradients(p)
+    k_loc = np.einsum("tid,tjd,t->tij", grads, grads, areas)
+    bary, wtri = asm.TRI_RULE_DEG2
+    qp = np.einsum("qk,tkd->tqd", bary, p)
+    fq = np.asarray(sol.rhs_f(qp.reshape(-1, 2)), dtype=float).reshape(qp.shape[:2])
+    b_loc = np.einsum("tq,qk,q,t->tk", fq, bary, wtri, areas)
+    rhs = np.zeros(nv)
+    np.add.at(rhs, tris.ravel(), b_loc.ravel())
+    etri, eg, phi, sh = asm.edge_basis(mesh_, quad)
+    dn = np.einsum("eid,ed->ei", eg, mesh_.edge_normal)
+    w = quad.weights
+    pen = gamma / quad.h_owner
+    a_edge = (-np.einsum("eq,eqi,ej->eij", w, phi, dn)
+              - np.einsum("eq,eqj,ei->eij", w, sh, dn)
+              + np.einsum("e,eq,eqj,eqi->eij", pen, w, sh, sh))
+    b_edge = (-np.einsum("eq,eq,ei->ei", w, quad.gbar, dn)
+              + np.einsum("e,eq,eq,eqi->ei", pen, w, quad.gbar, sh))
+    np.add.at(rhs, etri.ravel(), b_edge.ravel())
+    return asm.scatter(nv, (tris, k_loc), (etri, a_edge)), rhs
+
+
+def _einsum_energy_gram(mesh_, quad):
+    """analysis.energy_gram with its stiffness block as one einsum (oracle)."""
+    grads = _stacked_p1_gradients(mesh_.vertices[mesh_.triangles])
+    k_loc = np.einsum("tid,tjd,t->tij", grads, grads, mesh_.triangle_areas())
+    etri, _, _, sh = asm.edge_basis(mesh_, quad)
+    m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
+                      sh, sh)
+    return asm.scatter(mesh_.num_vertices, (mesh_.triangles, k_loc),
+                       (etri, m_loc))
+
+
+def _assert_same_csr(got, want):
+    for field in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, field),
+                                      getattr(want, field), err_msg=field)
+
+
+@pytest.mark.parametrize("domain,solution,n,zeta", [
+    ("corner", "corner23", 40, None),
+    ("disk", "sinsin", 32, 0.5),
+    ("square", "sinsin", 16, None),
+])
+def test_kernels_match_einsum_oracle_bitwise(domain, solution, n, zeta):
+    from sbmlab import analysis
+
+    _, sol, mesh_, quad, system = make_problem(domain, solution, n, zeta=zeta)
+    p = mesh_.vertices[mesh_.triangles]
+    np.testing.assert_array_equal(asm.p1_gradients(p),
+                                  _stacked_p1_gradients(p))
+    matrix, rhs = _einsum_assemble(mesh_, quad, sol, 10.0)
+    _assert_same_csr(system.matrix, matrix)
+    np.testing.assert_array_equal(system.rhs, rhs)
+    _assert_same_csr(analysis.energy_gram(mesh_, quad),
+                     _einsum_energy_gram(mesh_, quad))

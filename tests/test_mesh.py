@@ -86,7 +86,7 @@ def _surrogate_oracle(domain, n):
     return msh._make_mesh(vertices[used], remap[kept])
 
 
-@pytest.mark.parametrize("n", [3, 7, 8, 33, 119])
+@pytest.mark.parametrize("n", [3, 7, 8, 33, 119, 160, 320])
 @pytest.mark.parametrize("name", ["square", "disk", "corner"])
 def test_surrogate_mesh_matches_renumbering_oracle(name, n):
     dom = geo.domain_by_name(name)
@@ -224,6 +224,28 @@ def _bisected_move(vertices, triangles, areas0, incident, v, target):
         frac *= 0.5
     vertices[v] = orig
     return 0.0
+
+
+@pytest.mark.parametrize("step,area_scale,expect", [
+    ((1e-3, 2e-3), 1.0, "full"),
+    ((-0.4, 0.1), 1.0, "damped"),
+    ((0.5, 0.5), 1.0, "damped"),
+    ((1e-3, 2e-3), 10.0, "blocked"),
+])
+def test_damped_move_matches_scalar_bisection(step, area_scale, expect):
+    # area_scale raises the floor above every current area, so no fraction
+    # is allowed and the vertex must stay where it was
+    m = msh.surrogate_mesh(geo.make_disk_domain(), 16)
+    v = int(m.edge_vertices[3, 0])
+    incident = np.flatnonzero((m.triangles == v).any(axis=1))
+    areas0 = area_scale * m.triangle_areas()
+    target = m.vertices[v] + np.array(step)
+    got, want = m.vertices.copy(), m.vertices.copy()
+    frac = msh._damped_move(got, m.triangles, areas0, incident, v, target)
+    ref = _bisected_move(want, m.triangles, areas0, incident, v, target)
+    assert frac == ref
+    assert {1.0: "full", 0.0: "blocked"}.get(frac, "damped") == expect
+    np.testing.assert_array_equal(got, want)
 
 
 def _shift_reference(mesh, domain, zeta, c_d):
