@@ -71,11 +71,15 @@ def _corner_areas(p0, p1, p2):
 
 
 def _diameters(vertices, triangles):
-    p = vertices[triangles]  # (nt, 3, 2)
-    d01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    d12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-    d20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-    return np.maximum(d01, np.maximum(d12, d20))
+    x, y = vertices[:, 0], vertices[:, 1]
+    i, j, k = triangles.T
+
+    def side(p, q):
+        dx = x[p] - x[q]
+        dy = y[p] - y[q]
+        return np.sqrt(dx * dx + dy * dy)
+
+    return np.maximum(side(i, j), np.maximum(side(j, k), side(k, i)))
 
 
 def _boundary_edges(vertices, triangles):
@@ -264,9 +268,10 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     ev = mesh.edge_vertices
     owners = triangles[mesh.edge_owner]
     # projections are cached and redone only for edges with an endpoint
-    # that moved since the last check; project_points works row by row, so
-    # a cached distance has the bits a fresh projection would give. NaN
-    # never compares equal, so the first check projects everything.
+    # that moved since the last check; project_points works row by row (the
+    # arctan branches take a fixed number of Newton steps), so a cached
+    # distance has the bits a fresh projection would give. NaN never
+    # compares equal, so the first check projects everything.
     checked = np.full((nv, 2), np.nan)
     sample_max = np.empty(len(ev))
     # closest point and distance of each boundary vertex: the first (tau=0)

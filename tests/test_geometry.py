@@ -6,7 +6,10 @@ from sbmlab import mesh as msh
 
 
 def arctan_sideset():
-    # full bottom curve y = -|arctan x| as a single standalone sideset
+    # full bottom curve y = -|arctan x| as a single standalone sideset, kink
+    # at t = 0.5; it projects onto both corner branches and keeps the nearer
+    left, right = geo.make_corner_domain().sidesets[:2]
+
     def curve(t):
         t = np.asarray(t, dtype=float)
         x = -0.6 + 1.2 * t
@@ -14,9 +17,16 @@ def arctan_sideset():
 
     def normal(t):
         t = np.asarray(t, dtype=float)
-        return np.broadcast_to([0.0, -1.0], t.shape + (2,)).copy()
+        return np.where((t < 0.5)[..., None], left.normal(2.0 * t),
+                        right.normal(2.0 * t - 1.0))
 
-    return geo.Sideset(1, curve, normal)
+    def closest(x):
+        tl, tr = left.closest(x), right.closest(x)
+        dl = ((left.curve(tl) - x) ** 2).sum(axis=-1)
+        dr = ((right.curve(tr) - x) ** 2).sum(axis=-1)
+        return np.where(dl <= dr, 0.5 * tl, 0.5 + 0.5 * tr)
+
+    return geo.Sideset(1, curve, normal, closest)
 
 
 def dense_projection(curve, q, lo=0.0, hi=1.0, n=1_000_000, stages=2):
@@ -49,8 +59,10 @@ def test_closest_point_arctan_curve_vs_dense_oracle():
     _, (p,), (dist,) = geo.project_points(ss, q[None, :])
     # frozen from the dense-sampling oracle (1e6 parameter samples)
     assert abs(dist - 0.10560314886377963) <= 1e-8
+    # the distance is flat at its minimum, so the oracle resolves it to
+    # rounding although its parameter is only good to about 1e-9
     _, p_ref, d_ref = dense_projection(ss.curve, q)
-    assert abs(dist - d_ref) <= 1e-8
+    assert abs(dist - d_ref) <= 1e-15
     assert abs(p[1] + np.arctan(abs(p[0]))) <= 1e-12  # lands on the curve
 
 
@@ -60,18 +72,6 @@ def test_closest_point_fixed_point_on_curve():
     _, (p,), (dist,) = geo.project_points(ss, q[None, :])
     assert dist <= 1e-12
     np.testing.assert_allclose(p, q, atol=1e-10)
-
-
-def test_sqdist_matches_summed_squares(rng):
-    ss = geo.make_disk_domain().sidesets[0]
-    t = rng.uniform(0.0, 1.0, 5400)
-    pts = rng.uniform(-1.0, 2.0, (5400, 2))
-    np.testing.assert_array_equal(geo._sqdist(ss, t, pts),
-                                  ((ss.curve(t) - pts) ** 2).sum(axis=-1))
-    # the seed grid's broadcast shape
-    r = pts[:, None, :] - ss.curve(np.linspace(0.0, 1.0, 65))[None, :, :]
-    np.testing.assert_array_equal(geo._sqnorm(r.copy()),
-                                  (r ** 2).sum(axis=-1))
 
 
 def _on_arctan(p):
@@ -89,10 +89,21 @@ def _on_right_wall(p):
             + np.maximum(p[:, 1] - y1, 0.0))
 
 
+_BRANCH_POINTS = [[0.2, -0.05], [-0.4, 0.3], [0.0, -0.7], [0.0, 0.2],
+                  # on and one ulp off the diagonals |x| = y, whose closest
+                  # point on the far branch is the corner itself
+                  [0.3, 0.3], [-0.3, 0.3], [0.3, 0.30000000000000004],
+                  [-0.3, 0.30000000000000004], [0.0, 0.0],
+                  # past the branch ends and the convex junctions
+                  [0.9, -0.2], [-0.9, -0.2], [0.6, -0.5404195002705842]]
+
+
 @pytest.mark.parametrize("make,on_curve,special", [
-    pytest.param(arctan_sideset, _on_arctan,
-                 [[0.2, -0.05], [-0.4, 0.3], [0.0, -0.7], [0.0, 0.2]],
-                 id="arctan"),
+    pytest.param(arctan_sideset, _on_arctan, _BRANCH_POINTS, id="arctan"),
+    pytest.param(lambda: geo.make_corner_domain().sidesets[0], _on_arctan,
+                 _BRANCH_POINTS, id="corner-left-branch"),
+    pytest.param(lambda: geo.make_corner_domain().sidesets[1], _on_arctan,
+                 _BRANCH_POINTS, id="corner-right-branch"),
     # a point whose closest point lies just below t = 1, next to the seam
     # where a search's seeds t=0 and t=1 tie exactly, and the centre,
     # equidistant from the whole circle
@@ -114,9 +125,21 @@ def test_projection_optimality(rng, make, on_curve, special):
     assert on_curve(p).max() <= 1e-12
     assert ((t >= 0.0) & (t <= 1.0)).all()
     np.testing.assert_allclose(dist, np.hypot(*(p - pts).T), rtol=1e-15)
+    np.testing.assert_array_equal(dist, np.sqrt(((p - pts) ** 2).sum(-1)))
     dense = ss.curve(np.linspace(0.0, 1.0, 200_001))
     for q, d in zip(pts, dist):
         assert d <= np.hypot(*(dense - q).T).min() + 1e-12, q
+    # first-order optimality |(p - x) . tau| / |tau| away from the ends (and
+    # the kink of the whole arctan curve), with tau normal to the unit normal
+    inner = (t > 0.0) & (t < 1.0) & (t != 0.5)
+    r, nrm = (p - pts)[inner], ss.normal(t[inner])
+    assert np.abs(r[:, 0] * nrm[:, 1] - r[:, 1] * nrm[:, 0]).max() <= 1e-13
+    # each row alone gets the bits it gets in the batch (the node shift's
+    # projection cache relies on it)
+    for i, q in enumerate(pts):
+        alone = geo.project_points(ss, q[None, :])
+        for got, batch in zip(alone, (t, p, dist)):
+            np.testing.assert_array_equal(got[0], batch[i])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +169,7 @@ def test_distance_vector_corner_branch_vs_oracle():
     _, (x,), _ = geo.project_points(right, q[None, :])
     d = x - q
     _, p_ref, d_ref = dense_projection(right.curve, q)
-    assert abs(np.linalg.norm(d) - d_ref) <= 1e-8
+    assert abs(np.linalg.norm(d) - d_ref) <= 1e-15
     np.testing.assert_allclose(d, p_ref - q, atol=1e-8)
 
 

@@ -99,6 +99,15 @@ def test_surrogate_mesh_matches_renumbering_oracle(name, n):
         np.testing.assert_array_equal(got, want, err_msg=field)
 
 
+@pytest.mark.parametrize("name,n", [("corner", 160), ("disk", 119)])
+def test_diameters_match_norm_oracle(name, n):
+    # longest side by np.linalg.norm over the gathered (nt, 3, 2) corners
+    m = msh.surrogate_mesh(geo.domain_by_name(name), n)
+    p = m.vertices[m.triangles]
+    sides = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
+    np.testing.assert_array_equal(m.h_per_triangle, sides.max(axis=1))
+
+
 def test_surrogate_mesh_empty_matches_renumbering_oracle():
     disk = geo.make_disk_domain()
     with pytest.raises(MeshError) as got:
