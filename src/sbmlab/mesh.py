@@ -9,10 +9,11 @@ diameter. The whole grid is kept as plain arrays, never as a mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .assembly import gauss_segment
 from .geometry import project_boundary
 
 
@@ -30,6 +31,9 @@ class TriMesh:
     edge_owner      (ne,) int, owning triangle of each boundary edge
     edge_normal     (ne, 2) outward unit normals
     h_per_triangle  (nt,) triangle diameters
+
+    Boundary edges come by local edge (0-1, 1-2, 2-0), then by owner;
+    sideset tie-breaking and the vertex a failed shift names depend on it.
     """
 
     vertices: np.ndarray
@@ -82,35 +86,11 @@ def _diameters(vertices, triangles):
     return np.maximum(side(i, j), np.maximum(side(j, k), side(k, i)))
 
 
-def _boundary_edges(vertices, triangles):
-    """Edges used by one triangle, in its cycle orientation: (vertex pairs,
-    owners, outward normals). Raises on non-manifold connectivity."""
-    nt = triangles.shape[0]
-    directed = np.concatenate([triangles[:, [0, 1]],
-                               triangles[:, [1, 2]],
-                               triangles[:, [2, 0]]], axis=0)
-    owner = np.concatenate([np.arange(nt)] * 3)
-    # one int64 key per undirected edge: min * nv + max
-    a = directed[:, 0].astype(np.int64, copy=False)
-    b = directed[:, 1]
-    key = np.minimum(a, b) * vertices.shape[0] + np.maximum(a, b)
-    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    if np.any(counts > 2):
-        raise MeshError("non-manifold edge shared by more than two triangles")
-    on_boundary = counts[inv] == 1
-    edge_vertices = directed[on_boundary]
-    edge_owner = owner[on_boundary]
+def _normals(vertices, edge_vertices):
+    """Outward unit normals of edges in their owner's cycle orientation."""
     tangent = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
     length = np.hypot(tangent[:, 0], tangent[:, 1])
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
-    return edge_vertices, edge_owner, normal
-
-
-def _make_mesh(vertices, triangles):
-    ev, eo, en = _boundary_edges(vertices, triangles)
-    return TriMesh(vertices=vertices, triangles=triangles, edge_vertices=ev,
-                   edge_owner=eo, edge_normal=en,
-                   h_per_triangle=_diameters(vertices, triangles))
+    return np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
 
 
 def _grid(bbox, n):
@@ -146,7 +126,8 @@ def surrogate_mesh(domain, n):
     ((a + b) + c) / 3. Each distinct point of the grid is tested once (every
     vertex, every horizontal, vertical and diagonal edge midpoint and every
     centroid), and the tests are combined per triangle. The kept vertices
-    are numbered in grid order.
+    are numbered in grid order. A local edge of a kept triangle is a
+    boundary edge when the grid triangle across it is not kept.
     """
     # the grid's temporaries die with _grid's frame, before the probes
     # peak; building the grid inline here raises the peak RSS
@@ -170,10 +151,22 @@ def surrogate_mesh(domain, n):
     ok = np.stack([lower, upper], axis=-1).ravel()
     if not np.any(ok):
         raise MeshError("surrogate domain empty; refine mesh")
+    # across local edge 0-1, 1-2, 2-0 of a lower triangle lies the upper one
+    # of the cell below, of the cell to the right and of its own cell; of an
+    # upper triangle, the lower one of its own cell, above and to the left
+    lo, up = np.pad(lower, 1), np.pad(upper, 1)
+    across = np.stack([up[:-2, 1:-1], up[1:-1, 2:], upper,
+                       lower, lo[2:, 1:-1], lo[1:-1, :-2]], axis=-1)
     kept = triangles[ok]
     used = np.zeros(len(vertices), dtype=bool)
     used[kept] = True
-    return _make_mesh(vertices[used], (np.cumsum(used) - 1)[kept])
+    vertices, triangles = vertices[used], (np.cumsum(used) - 1)[kept]
+    # transposed, so the edges come local edge first, then triangle
+    local, owner = np.nonzero(~across.reshape(-1, 3)[ok].T)
+    ev = triangles[owner[:, None], (local[:, None] + [0, 1]) % 3]
+    return TriMesh(vertices=vertices, triangles=triangles, edge_vertices=ev,
+                   edge_owner=owner, edge_normal=_normals(vertices, ev),
+                   h_per_triangle=_diameters(vertices, triangles))
 
 
 def mesh_params(mesh):
@@ -260,10 +253,11 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     start = np.searchsorted(triangles.ravel()[order], np.arange(nv + 1))
     tri_of = order // 3
 
-    # edge samples: endpoints, uniform fill and the Gauss nodes later used
-    # by the boundary quadrature, so the post-check cannot see worse points
-    gauss = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
-    taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
+    # edge samples: endpoints, uniform fill and the nodes of the boundary
+    # quadrature's default 3-point Gauss rule (other nq_edge values are not
+    # sampled, so their nodes may see a larger distance)
+    taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7),
+                                     gauss_segment(3)[0]]))
 
     ev = mesh.edge_vertices
     owners = triangles[mesh.edge_owner]
@@ -331,7 +325,8 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
         raise MeshError(
             f"cannot satisfy distance bound near vertex {culprit} "
             f"(excess {float(excess.max()):.3e}) {cause}")
-    return _make_mesh(vertices, triangles)
+    return replace(mesh, vertices=vertices, edge_normal=_normals(vertices, ev),
+                   h_per_triangle=_diameters(vertices, triangles))
 
 
 # ---------------------------------------------------------------------------

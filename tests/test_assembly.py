@@ -20,7 +20,12 @@ def test_p1_stiffness_unit_right_triangle():
 def one_triangle_shift(tri, vals, x, d):
     """edge_basis's shift operator on a one-triangle mesh, contracted with
     nodal values: v(x) + grad(v) . d for each (x, d) pair on every edge."""
-    m = msh._make_mesh(tri, np.array([[0, 1, 2]]))
+    t = np.array([[0, 1, 2]])
+    ev = np.array([[0, 1], [1, 2], [2, 0]])
+    m = msh.TriMesh(vertices=tri, triangles=t, edge_vertices=ev,
+                    edge_owner=np.zeros(3, dtype=int),
+                    edge_normal=msh._normals(tri, ev),
+                    h_per_triangle=msh._diameters(tri, t))
     ne = m.edge_owner.size
     quad = SimpleNamespace(points=np.broadcast_to(x, (ne,) + x.shape),
                            d=np.broadcast_to(d, (ne,) + d.shape))

@@ -69,6 +69,35 @@ def test_restrict_empty_raises():
         msh.surrogate_mesh(tiny, 2)
 
 
+def _boundary_edges_by_key(vertices, triangles):
+    """Edges used by one triangle, in its cycle orientation, found by
+    sorting one int64 key per undirected edge: (vertex pairs, owners,
+    outward normals)."""
+    nt = triangles.shape[0]
+    directed = np.concatenate([triangles[:, [0, 1]],
+                               triangles[:, [1, 2]],
+                               triangles[:, [2, 0]]], axis=0)
+    owner = np.concatenate([np.arange(nt)] * 3)
+    a = directed[:, 0].astype(np.int64, copy=False)
+    b = directed[:, 1]
+    key = np.minimum(a, b) * vertices.shape[0] + np.maximum(a, b)
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    on_boundary = counts[inv] == 1
+    edge_vertices = directed[on_boundary]
+    tangent = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
+    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
+    return edge_vertices, owner[on_boundary], normal
+
+
+def _mesh_oracle(vertices, triangles):
+    """TriMesh with its boundary edges found by the key sort."""
+    ev, eo, en = _boundary_edges_by_key(vertices, triangles)
+    return msh.TriMesh(vertices=vertices, triangles=triangles,
+                       edge_vertices=ev, edge_owner=eo, edge_normal=en,
+                       h_per_triangle=msh._diameters(vertices, triangles))
+
+
 def _surrogate_oracle(domain, n):
     """Grid triangles passing the 7-point test, vertices renumbered with
     np.unique and a remap array, then a full mesh rebuild."""
@@ -83,7 +112,7 @@ def _surrogate_oracle(domain, n):
     used = np.unique(kept)
     remap = np.full(len(vertices), -1, dtype=int)
     remap[used] = np.arange(used.size)
-    return msh._make_mesh(vertices[used], remap[kept])
+    return _mesh_oracle(vertices[used], remap[kept])
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 33, 119, 160, 320])
@@ -147,14 +176,6 @@ def test_boundary_edges_belong_to_owner_and_point_outward():
     mids = 0.5 * (m.vertices[m.edge_vertices[:, 0]]
                   + m.vertices[m.edge_vertices[:, 1]])
     assert (np.einsum("ed,ed->e", m.edge_normal, centroids - mids) < 0).all()
-
-
-def test_nonmanifold_edge_rejected():
-    dom = geo.make_square_domain()
-    good = msh.surrogate_mesh(dom, 2)
-    bad = np.vstack([good.triangles, good.triangles[:1]])
-    with pytest.raises(MeshError, match="non-manifold"):
-        msh._boundary_edges(good.vertices, bad)
 
 
 def test_surrogate_perimeter_near_circle():
@@ -338,6 +359,14 @@ def test_shift_matches_per_vertex_reference(name, n, zeta, c_d):
     reference = _shift_reference(m, dom, zeta, c_d)
     assert not np.array_equal(reference, m.vertices)
     np.testing.assert_array_equal(shifted.vertices, reference)
+    # the topology is the input's; normals and diameters follow the moves
+    for field in ("triangles", "edge_vertices", "edge_owner"):
+        np.testing.assert_array_equal(getattr(shifted, field),
+                                      getattr(m, field), err_msg=field)
+    ref = _mesh_oracle(reference, m.triangles)
+    for field in ("edge_normal", "h_per_triangle"):
+        np.testing.assert_array_equal(getattr(shifted, field),
+                                      getattr(ref, field), err_msg=field)
 
 
 @pytest.mark.parametrize("name,n", [("square", 8), ("square", 33),
@@ -505,20 +534,41 @@ def _boundary_edges_oracle(vertices, triangles):
     return ev, owner, normal
 
 
+def _check_edges_against_dict_count(name, n):
+    """The key-sort oracle on the whole grid, and surrogate_mesh's edge
+    fields, against the dict count."""
+    dom = geo.domain_by_name(name)
+    vertices, triangles = msh._grid(dom.bbox, n)
+    got = [_boundary_edges_by_key(vertices, triangles)]
+    want = [_boundary_edges_oracle(vertices, triangles)]
+    try:
+        m = msh.surrogate_mesh(dom, n)
+    except MeshError:
+        assert (name, n) == ("disk", 2)  # no 2 x 2 grid triangle is inside
+    else:
+        got.append((m.edge_vertices, m.edge_owner, m.edge_normal))
+        want.append(_boundary_edges_oracle(m.vertices, m.triangles))
+    for fields, ref in zip(got, want):
+        for field, value, expect in zip(("vertices", "owner", "normal"),
+                                        fields, ref):
+            np.testing.assert_array_equal(value, expect, err_msg=field)
+
+
 @pytest.mark.parametrize("n", [2, 7, 8, 33])
 @pytest.mark.parametrize("name", ["square", "disk", "corner"])
 def test_boundary_edges_match_dict_count_oracle(name, n):
-    dom = geo.domain_by_name(name)
-    meshes = [msh._grid(dom.bbox, n)]
-    if not (name == "disk" and n == 2):  # no 2 x 2 grid triangle is inside
-        m = msh.surrogate_mesh(dom, n)
-        meshes.append((m.vertices, m.triangles))
-    for vertices, triangles in meshes:
-        ev, eo, en = msh._boundary_edges(vertices, triangles)
-        ref_ev, ref_eo, ref_en = _boundary_edges_oracle(vertices, triangles)
-        np.testing.assert_array_equal(ev, ref_ev)
-        np.testing.assert_array_equal(eo, ref_eo)
-        np.testing.assert_array_equal(en, ref_en)
+    _check_edges_against_dict_count(name, n)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["square", "disk", "corner"]),
+       n=st.integers(2, 64))
+@example(name="corner", n=63)
+@example(name="disk", n=64)
+def test_boundary_edges_match_dict_count_oracle_any_n(name, n):
+    # odd n on the corner puts a boundary diagonal through the re-entrant
+    # corner
+    _check_edges_against_dict_count(name, n)
 
 
 def _vtk_reference(mesh, point_data):
