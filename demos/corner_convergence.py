@@ -35,7 +35,7 @@ for level in range(levels):
     mesh = surrogate_mesh(domain, n)
     quad = build_boundary_quadrature(mesh, domain)
     system = assemble(mesh, quad, solution, gamma)
-    rep = solve(system)
+    rep = solve(system, grid=mesh.grid)
     err = error_report(mesh, quad, rep.solution, solution)
     reports.append(err)
     print(f"{n:5d} {err.h_omega:10.3e} {err.dofs:8d} {err.err_l2:12.4e} "

@@ -27,7 +27,7 @@ n = 64
 mesh = surrogate_mesh(domain, n)
 quad = build_boundary_quadrature(mesh, domain)
 system = assemble(mesh, quad, solution, gamma=10.0)
-rep = solve(system)
+rep = solve(system, grid=mesh.grid)
 err = error_report(mesh, quad, rep.solution, solution)
 print(f"disk, n={n}: dofs={err.dofs} l2={err.err_l2:.4e} "
       f"h1={err.err_h1:.4e} ({rep.method}, residual {rep.final_residual:.1e})")

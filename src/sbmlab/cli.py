@@ -114,7 +114,7 @@ def _discretize(cfg, domain, sol, n, shift=False):
 def solve_level(cfg, domain, sol, n):
     """Mesh, assemble and solve one refinement level."""
     mesh, quad, system = _discretize(cfg, domain, sol, n, cfg.shift_enabled)
-    report = linsolve.solve(system, tol=cfg.solver_tol)
+    report = linsolve.solve(system, tol=cfg.solver_tol, grid=mesh.grid)
     err = analysis.error_report(mesh, quad, report.solution, sol)
     return mesh, quad, system, report, err
 
@@ -204,7 +204,7 @@ def _verify_checks(cfg):
     patch_domain = geometry.bind_dirichlet(
         geometry.domain_by_name(cfg.domain), affine)
     pmesh, pquad, psys = _discretize(cfg, patch_domain, affine, min(n, 16))
-    prep = linsolve.solve(psys, tol=cfg.solver_tol)
+    prep = linsolve.solve(psys, tol=cfg.solver_tol, grid=pmesh.grid)
     pl2, ph1 = analysis.error_norms(pmesh, prep.solution, affine)
     patch = max(pl2, ph1)
     checks.append(("affine_patch_test", patch, 1e-10, patch <= 1e-10))

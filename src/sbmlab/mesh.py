@@ -31,6 +31,9 @@ class TriMesh:
     edge_owner      (ne,) int, owning triangle of each boundary edge
     edge_normal     (ne, 2) outward unit normals
     h_per_triangle  (nt,) triangle diameters
+    grid_index      (nv,) int, row-major index j (n + 1) + i of each vertex
+                    on the (n + 1)^2 points of the grid it comes from
+    grid_n          that grid's n; both are None for a mesh not from a grid
 
     Boundary edges come by local edge (0-1, 1-2, 2-0), then by owner;
     sideset tie-breaking and the vertex a failed shift names depend on it.
@@ -42,6 +45,13 @@ class TriMesh:
     edge_owner: np.ndarray
     edge_normal: np.ndarray
     h_per_triangle: np.ndarray
+    grid_index: np.ndarray | None = None
+    grid_n: int | None = None
+
+    @property
+    def grid(self):
+        """(n, grid_index) for ``linsolve.solve``, or None."""
+        return None if self.grid_n is None else (self.grid_n, self.grid_index)
 
     @property
     def num_vertices(self):
@@ -126,8 +136,9 @@ def surrogate_mesh(domain, n):
     ((a + b) + c) / 3. Each distinct point of the grid is tested once (every
     vertex, every horizontal, vertical and diagonal edge midpoint and every
     centroid), and the tests are combined per triangle. The kept vertices
-    are numbered in grid order. A local edge of a kept triangle is a
-    boundary edge when the grid triangle across it is not kept.
+    are numbered in grid order, and ``grid_index`` keeps their grid
+    positions. A local edge of a kept triangle is a boundary edge when the
+    grid triangle across it is not kept.
     """
     # the grid's temporaries die with _grid's frame, before the probes
     # peak; building the grid inline here raises the peak RSS
@@ -166,7 +177,8 @@ def surrogate_mesh(domain, n):
     ev = triangles[owner[:, None], (local[:, None] + [0, 1]) % 3]
     return TriMesh(vertices=vertices, triangles=triangles, edge_vertices=ev,
                    edge_owner=owner, edge_normal=_normals(vertices, ev),
-                   h_per_triangle=_diameters(vertices, triangles))
+                   h_per_triangle=_diameters(vertices, triangles),
+                   grid_index=np.flatnonzero(used), grid_n=n)
 
 
 def mesh_params(mesh):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,29 @@ def test_study_determinism_and_rate_columns(tmp_path, capsys):
             continue
         recomputed = np.log(errs[0] / errs[1]) / np.log(hs[0] / hs[1])
         assert abs(float(emitted) - recomputed) <= 1e-9
+
+
+def test_study_csv_does_not_depend_on_blas_threads(tmp_path):
+    # n=80 and 160 run the multigrid solve, whose inner products must not
+    # go through the threaded BLAS; at n=160 (19,660 dofs) a BLAS dot
+    # product splits over threads and changes the CSV
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csvs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "sbmlab.cli", "study", "--n0", "40",
+             "--levels", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        csvs.append((out / "study_corner_corner23.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_study_flushes_partial_csv_on_failure(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from sbmlab import geometry, linsolve, mesh
 from sbmlab.assembly import SparseSystem
 from sbmlab.linsolve import SolveError, solve
+from conftest import make_problem
 
 
 def system_of(a, b):
@@ -90,3 +93,116 @@ def test_residual_above_tolerance_raises(rng):
 def test_nonfinite_rhs_rejected():
     with pytest.raises(SolveError, match="finite"):
         solve(system_of(np.eye(2), [np.nan, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the grid hierarchy
+# ---------------------------------------------------------------------------
+
+def splu_solution(system):
+    lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(system.rhs)
+
+
+def rel_diff(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name,solution,n,zeta", [
+    ("corner", "corner23", 80, None),
+    ("disk", "sinsin", 80, None),
+    ("square", "sinsin", 80, None),
+    ("disk", "sinsin", 128, 0.5),
+])
+def test_multigrid_matches_sparse_lu(name, solution, n, zeta):
+    _, _, msh, _, system = make_problem(name, solution, n, zeta=zeta)
+    assert system.dim > linsolve._COARSE_DOFS
+    rep = solve(system, grid=msh.grid)
+    assert rep.method == linsolve.METHOD_MG
+    assert 0 < rep.iterations <= linsolve._MAX_ITERATIONS
+    assert rep.final_residual <= linsolve.DEFAULT_TOL
+    assert rel_diff(rep.solution, splu_solution(system)) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.01, 1.0])
+@pytest.mark.parametrize("name,solution", [("corner", "corner23"),
+                                           ("square", "sinsin")])
+def test_small_penalty_falls_back_to_sparse_lu(name, solution, gamma):
+    # the system is indefinite, so Jacobi smoothing cannot converge
+    _, _, msh, _, system = make_problem(name, solution, 80, gamma=gamma)
+    assert system.dim > linsolve._COARSE_DOFS
+    rep = solve(system, grid=msh.grid)
+    assert rep.method == linsolve.METHOD_FALLBACK
+    assert rep.iterations > 0
+    assert rep.final_residual <= 1e-10
+    assert rel_diff(rep.solution, splu_solution(system)) <= 1e-12
+
+
+def test_fallback_factor_trims_the_heap_and_coarse_factor_does_not(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(linsolve, "trim_heap", lambda: calls.append(1))
+    _, _, msh, _, system = make_problem("corner", "corner23", 80)
+    assert solve(system, grid=msh.grid).method == linsolve.METHOD_MG
+    assert calls == []
+    _, _, msh, _, system = make_problem("corner", "corner23", 80, gamma=0.01)
+    assert solve(system, grid=msh.grid).method == linsolve.METHOD_FALLBACK
+    assert calls == [1]
+
+
+def test_systems_without_levels_are_factored_directly():
+    # odd n: the n/2 grid does not nest
+    _, _, msh, _, system = make_problem("disk", "sinsin", 119)
+    assert system.dim > linsolve._COARSE_DOFS and msh.grid_n == 119
+    cases = [(system, msh.grid)]
+    # a grid-less mesh, or no grid passed
+    _, _, msh, _, system = make_problem("corner", "corner23", 80)
+    cases.append((system, None))
+    # at most _COARSE_DOFS dofs
+    _, _, msh, _, system = make_problem("corner", "corner23", 40)
+    assert system.dim <= linsolve._COARSE_DOFS
+    cases.append((system, msh.grid))
+    for system, grid in cases:
+        rep = solve(system, grid=grid)
+        assert rep.method == "superlu"
+        assert rep.iterations == 0
+        assert rep.final_residual <= 1e-10
+
+
+def test_one_triangle_mesh_has_no_grid():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = np.array([[0, 1, 2]])
+    ev = np.array([[0, 1], [1, 2], [2, 0]])
+    m = mesh.TriMesh(vertices=tri, triangles=t, edge_vertices=ev,
+                     edge_owner=np.zeros(3, dtype=int),
+                     edge_normal=mesh._normals(tri, ev),
+                     h_per_triangle=mesh._diameters(tri, t))
+    assert m.grid is None
+    a = np.array([[4.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.2, -1.0, 2.0]])
+    rep = solve(system_of(a, [1.0, 2.0, 3.0]), grid=m.grid)
+    assert rep.method == "superlu"
+    assert rep.iterations == 0
+
+
+@pytest.mark.parametrize("name", ["square", "disk", "corner"])
+def test_prolongation_interpolates_affine_functions(name):
+    # the P1 space of the n/2 grid nests in that of the n grid: an affine
+    # function sampled at the coarse vertices is reproduced at every fine
+    # vertex whose coarse parents are all kept
+    msh = mesh.surrogate_mesh(geometry.domain_by_name(name), 40)
+    n, index = msh.grid
+    p, coarse = linsolve._prolongation(n, index)
+    j, i = np.divmod(index, n + 1)
+    jc, ic = np.divmod(coarse, n // 2 + 1)
+
+    def affine(x, y):
+        return 0.3 - 1.7 * x + 2.9 * y
+
+    fine = p @ affine(2.0 * ic, 2.0 * jc)
+    full = np.asarray(p.sum(axis=1)).ravel() == 1.0
+    assert full.sum() > 0.8 * index.size
+    np.testing.assert_allclose(fine[full], affine(i, j)[full], atol=1e-12)
+    # injection at even (i, j): the coarse dofs are those fine dofs
+    even = (i % 2 == 0) & (j % 2 == 0)
+    assert even.sum() == coarse.size
+    np.testing.assert_array_equal(p[even].toarray(), np.eye(coarse.size))

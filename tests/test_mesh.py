@@ -126,6 +126,12 @@ def test_surrogate_mesh_matches_renumbering_oracle(name, n):
         got, want = getattr(m, field), getattr(ref, field)
         assert got.dtype == want.dtype, field
         np.testing.assert_array_equal(got, want, err_msg=field)
+    # each vertex sits at bbox_min + (i, j) h of its grid position
+    assert m.grid_n == n
+    j, i = np.divmod(m.grid_index, n + 1)
+    lo, hi = np.array(dom.bbox[:2]), np.array(dom.bbox[2:])
+    at = lo + np.stack([i, j], axis=-1) * ((hi - lo) / n)
+    np.testing.assert_allclose(m.vertices, at, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name,n", [("corner", 160), ("disk", 119)])
@@ -360,9 +366,10 @@ def test_shift_matches_per_vertex_reference(name, n, zeta, c_d):
     assert not np.array_equal(reference, m.vertices)
     np.testing.assert_array_equal(shifted.vertices, reference)
     # the topology is the input's; normals and diameters follow the moves
-    for field in ("triangles", "edge_vertices", "edge_owner"):
+    for field in ("triangles", "edge_vertices", "edge_owner", "grid_index"):
         np.testing.assert_array_equal(getattr(shifted, field),
                                       getattr(m, field), err_msg=field)
+    assert shifted.grid_n == m.grid_n == n
     ref = _mesh_oracle(reference, m.triangles)
     for field in ("edge_normal", "h_per_triangle"):
         np.testing.assert_array_equal(getattr(shifted, field),
