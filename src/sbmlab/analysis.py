@@ -43,7 +43,7 @@ def _nodal(mesh, v):
     return v
 
 
-_ERROR_BLOCK = 1 << 15
+_ERROR_BLOCK = 1 << 13
 
 
 def _p1_gradient(vals, p):
@@ -56,11 +56,11 @@ def error_norms(mesh, u_h, sol):
     """(L2, H1-seminorm) errors of a nodal field against the exact solution,
     with the degree-4 triangle rule.
 
-    The triangles are taken in blocks of ``_ERROR_BLOCK`` (2^15): the
+    The triangles are taken in blocks of ``_ERROR_BLOCK`` (2^13): the
     point coordinates, values and gradients take about 0.9 kB per
-    triangle, so over the whole mesh (140 MB at corner n=320) they made
-    this the peak-memory stage of a fine level. Only the order of the
-    sums depends on the block size.
+    triangle, about 7 MB per block. Over the whole mesh (140 MB at corner
+    n=320) they made this the peak-memory stage of a fine level. Only the
+    order of the sums depends on the block size.
     """
     u_h = _nodal(mesh, u_h)
     bary, wts = TRI_RULE_DEG4
@@ -145,7 +145,7 @@ def energy_gram(mesh, quad):
     etri, _, _, sh = edge_basis(mesh, quad)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)
-    return scatter(mesh.num_vertices, (mesh.triangles, k_loc), (etri, m_loc))
+    return scatter(mesh, (mesh.triangles, k_loc), (etri, m_loc))
 
 
 def remainder_norm(mesh, quad, sol):

@@ -87,6 +87,12 @@ TRI_RULE_DEG4 = (
 # P1 element helpers
 # ---------------------------------------------------------------------------
 
+def _corner_areas(p0, p1, p2):
+    """Signed areas of the triangles with corners p0, p1, p2 (..., 2)."""
+    return 0.5 * ((p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
+                  - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0]))
+
+
 def p1_gradients(tri_vertices):
     """Constant basis gradients on triangles; (..., 3, 2) -> (..., 3, 2)."""
     p = np.asarray(tri_vertices, dtype=float)
@@ -172,19 +178,78 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
 # system assembly
 # ---------------------------------------------------------------------------
 
-def scatter(nv, *blocks):
-    """Sum local 3 x 3 matrices into one (nv, nv) CSR matrix. Each block is
-    (vertex ids (m, 3), values (m, 3, 3)); entry [k, i, j] lands at
-    (ids[k, i], ids[k, j]). scipy's COO -> CSR conversion sums duplicates
-    and sorts the indices, so the result is in canonical form. The indices
-    are built as int32 when they fit, the type scipy would convert them to,
-    so no int64 copies are held at the peak of the assembly."""
-    itype = np.int32 if nv <= np.iinfo(np.int32).max else np.int64
-    ids = np.concatenate([ids for ids, _ in blocks], dtype=itype)
-    rows = np.repeat(ids, 3, axis=1).ravel()
-    cols = np.tile(ids, (1, 3)).ravel()
-    data = np.concatenate([vals.ravel() for _, vals in blocks])
-    return sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
+# local matrices are summed, and per-triangle kernels computed, this many
+# triangles or edges at a time
+_BLOCK = 1 << 15
+
+
+class _StencilSum:
+    """Running sum of local 3 x 3 matrices in the 7-point stencil of the
+    mesh's grid.
+
+    The shift operator of an edge lives on the edge's owner triangle, so
+    every coupling stays inside one grid triangle: row r has its columns at
+    the grid offsets (-(n+2), -(n+1), -1, 0, 1, n+1, n+2) from r's grid
+    position (SW, S, W, itself, E, N, NE), and slot 7 r + k holds the sum
+    at the k-th of them. The vertices are numbered in grid order, so these
+    columns come out sorted. ``np.add.at`` adds in input order, so the sums
+    do not depend on how the local matrices are split into blocks.
+    """
+
+    def __init__(self, mesh):
+        if mesh.grid_n is None:
+            raise AssemblyError("assembly needs a mesh from a grid "
+                                "(its grid_n is None)")
+        n = mesh.grid_n
+        self.mesh = mesh
+        self.offsets = np.array([-(n + 2), -(n + 1), -1, 0, 1, n + 1, n + 2])
+        # stencil position of grid offset delta at delta + n + 3; -1 at both
+        # ends, where ``take`` clips every offset out of range
+        self.position = np.full(2 * n + 7, -1, dtype=np.int8)
+        self.position[self.offsets + n + 3] = np.arange(7)
+        self.sums = np.zeros(7 * mesh.num_vertices)
+
+    def add(self, ids, vals):
+        """Add vals[k, i, j] (m, 3, 3) at (ids[k, i], ids[k, j])."""
+        shift = self.mesh.grid_n + 3
+        for lo in range(0, len(ids), _BLOCK):
+            tri = ids[lo:lo + _BLOCK]
+            g = self.mesh.grid_index[tri]
+            k = self.position.take(g[:, None, :] - g[:, :, None] + shift,
+                                   mode="clip")
+            if k.min() < 0:
+                raise AssemblyError("a local matrix couples vertices outside "
+                                    "the grid's 7-point stencil")
+            np.add.at(self.sums, (7 * tri[:, :, None] + k).ravel(),
+                      vals[lo:lo + _BLOCK].ravel())
+
+    def csr(self):
+        """The sum as CSR, keeping the slots whose sum is nonzero (on the
+        grid, the P1 stiffness of the SW-NE pair is exactly 0)."""
+        nv = self.mesh.num_vertices
+        index = self.mesh.grid_index
+        itype = np.int32 if 7 * nv <= np.iinfo(np.int32).max else np.int64
+        kept = (self.sums != 0.0).reshape(nv, 7)
+        indptr = np.zeros(nv + 1, dtype=itype)
+        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+        vertex_at = np.empty(index[-1] + 1, dtype=itype)
+        vertex_at[index] = np.arange(nv, dtype=itype)
+        indices = vertex_at[(index[:, None] + self.offsets)[kept]]
+        return sp.csr_matrix((self.sums[kept.ravel()], indices, indptr),
+                             shape=(nv, nv))
+
+
+def scatter(mesh, *blocks):
+    """Sum local 3 x 3 matrices into one CSR matrix on the vertices of a
+    mesh from a grid. Each block is (vertex ids (m, 3), values (m, 3, 3));
+    entry [k, i, j] lands at (ids[k, i], ids[k, j]). The sums go straight
+    into the grid's 7-point stencil (no COO triplets, no sort), and the
+    result is in canonical form. A mesh with no grid, or a coupling outside
+    the stencil, raises AssemblyError."""
+    total = _StencilSum(mesh)
+    for ids, vals in blocks:
+        total.add(ids, vals)
+    return total.csr()
 
 
 def assemble(mesh, quad, sol, gamma):
@@ -194,35 +259,42 @@ def assemble(mesh, quad, sol, gamma):
     interior stiffness is exact for P1; the source term (``sol.rhs_f``)
     uses the degree-2 triangle rule; boundary terms use the Gauss points of
     ``quad`` with the distance vector and mapped datum evaluated pointwise.
+    The mesh must come from a grid (``scatter``). The triangles are taken
+    in blocks of ``_BLOCK``, so no per-triangle kernel array spans the
+    mesh; the sums keep the order of one pass over all triangles and then
+    all edges.
     """
     if not gamma > 0.0:  # also rejects NaN
         raise AssemblyError(f"gamma must be positive, got {gamma}")
 
-    nv = mesh.num_vertices
-    tris = mesh.triangles
-    p = mesh.vertices[tris]                      # (nt, 3, 2)
-    areas = mesh.triangle_areas()
-    grads = p1_gradients(p)                      # (nt, 3, 2)
-
-    # interior stiffness, exact for constant gradients, one symmetric pair
-    # of entries at a time (no (nt, 3, 3) temporaries). The per-triangle
-    # kernels are products and matmuls, not multi-operand einsums, which
-    # run numpy's unbuffered loops.
-    gx, gy = grads[..., 0], grads[..., 1]
-    k_loc = np.empty((len(tris), 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            k_loc[:, i, j] = k_loc[:, j, i] = (gx[:, i] * gx[:, j] * areas
-                                               + gy[:, i] * gy[:, j] * areas)
-
-    # source term with the degree-2 rule
+    total = _StencilSum(mesh)
+    rhs = np.zeros(mesh.num_vertices)
     bary, wtri = TRI_RULE_DEG2
-    qp = np.matmul(bary, p)                      # (nt, q, 2)
-    fq = np.asarray(sol.rhs_f(qp.reshape(-1, 2)), dtype=float).reshape(qp.shape[:2])
-    b_loc = sum(fq[:, q, None] * bary[q] * wtri[q] * areas[:, None]
-                for q in range(len(wtri)))
-    rhs = np.zeros(nv)
-    np.add.at(rhs, tris.ravel(), b_loc.ravel())
+    for lo in range(0, mesh.num_triangles, _BLOCK):
+        tris = mesh.triangles[lo:lo + _BLOCK]
+        p = mesh.vertices[tris]                      # (nb, 3, 2)
+        area = _corner_areas(p[:, 0], p[:, 1], p[:, 2])
+        grads = p1_gradients(p)                      # (nb, 3, 2)
+
+        # interior stiffness, exact for constant gradients, one symmetric
+        # pair of entries at a time. The per-triangle kernels are products
+        # and matmuls, not multi-operand einsums, which run numpy's
+        # unbuffered loops.
+        gx, gy = grads[..., 0], grads[..., 1]
+        k_loc = np.empty((len(tris), 3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                k_loc[:, i, j] = k_loc[:, j, i] = (gx[:, i] * gx[:, j] * area
+                                                   + gy[:, i] * gy[:, j] * area)
+        total.add(tris, k_loc)
+
+        # source term with the degree-2 rule
+        qp = np.matmul(bary, p)                      # (nb, q, 2)
+        fq = np.asarray(sol.rhs_f(qp.reshape(-1, 2)),
+                        dtype=float).reshape(qp.shape[:2])
+        b_loc = sum(fq[:, q, None] * bary[q] * wtri[q] * area[:, None]
+                    for q in range(len(wtri)))
+        np.add.at(rhs, tris.ravel(), b_loc.ravel())
 
     # boundary terms
     etri, eg, phi, sh = edge_basis(mesh, quad)
@@ -235,10 +307,10 @@ def assemble(mesh, quad, sol, gamma):
         - np.einsum("eq,eqj,ei->eij", w, sh, dn)
         + np.einsum("e,eq,eqj,eqi->eij", pen, w, sh, sh)
     )
+    total.add(etri, a_edge)
 
     b_edge = (-np.einsum("eq,eq,ei->ei", w, quad.gbar, dn)
               + np.einsum("e,eq,eq,eqi->ei", pen, w, quad.gbar, sh))
     np.add.at(rhs, etri.ravel(), b_edge.ravel())
 
-    return SparseSystem(matrix=scatter(nv, (tris, k_loc), (etri, a_edge)),
-                        rhs=rhs)
+    return SparseSystem(matrix=total.csr(), rhs=rhs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import gauss_segment
+from .assembly import _corner_areas, gauss_segment
 from .geometry import project_boundary
 
 
@@ -76,12 +76,6 @@ class TriMesh:
 def _signed_areas(vertices, triangles):
     return _corner_areas(vertices[triangles[:, 0]], vertices[triangles[:, 1]],
                          vertices[triangles[:, 2]])
-
-
-def _corner_areas(p0, p1, p2):
-    """Signed areas of the triangles with corners p0, p1, p2 (..., 2)."""
-    return 0.5 * ((p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
-                  - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0]))
 
 
 def _diameters(vertices, triangles):
@@ -345,30 +339,40 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
 # VTK legacy ASCII export
 # ---------------------------------------------------------------------------
 
+_VTK_ROWS = 1 << 14
+
+
+def _vtk_rows(fmt, table):
+    """The rows of ``table`` as text, ``_VTK_ROWS`` rows per string: one
+    %-format per block gives the text of per-line formatting with far fewer
+    interpreter round trips, and no string of the whole table."""
+    for lo in range(0, len(table), _VTK_ROWS):
+        block = table[lo:lo + _VTK_ROWS]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_vtk(path, mesh, point_data=None):
-    """Write the mesh and nodal scalar fields as legacy ASCII VTK."""
+    """Write the mesh and nodal scalar fields as legacy ASCII VTK. A field
+    that is not one value per vertex raises MeshError before the file is
+    opened."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    blocks = [
-        "# vtk DataFile Version 3.0\n"
-        "surrogate mesh\n"
-        "ASCII\n"
-        "DATASET UNSTRUCTURED_GRID\n"
-        f"POINTS {nv} double\n",
-        # one %-format per block: same text as per-line formatting, far
-        # fewer interpreter round trips on large meshes
-        ("%.15e %.15e 0.0\n" * nv) % tuple(mesh.vertices.ravel().tolist()),
-        f"CELLS {nt} {4 * nt}\n",
-        ("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()),
-        f"CELL_TYPES {nt}\n",
-        "5\n" * nt,
-    ]
-    if point_data:
-        blocks.append(f"POINT_DATA {nv}\n")
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (nv,):
-                raise MeshError(f"field {name!r} is not a nodal scalar")
-            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            blocks.append(("%.15e\n" * nv) % tuple(values.tolist()))
+    fields = {}
+    for name, values in (point_data or {}).items():
+        fields[name] = np.asarray(values, dtype=float)
+        if fields[name].shape != (nv,):
+            raise MeshError(f"field {name!r} is not a nodal scalar")
     with open(path, "w") as fh:
-        fh.write("".join(blocks))
+        fh.write("# vtk DataFile Version 3.0\n"
+                 "surrogate mesh\n"
+                 "ASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {nv} double\n")
+        fh.writelines(_vtk_rows("%.15e %.15e 0.0\n", mesh.vertices))
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        fh.writelines(_vtk_rows("3 %d %d %d\n", mesh.triangles))
+        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        if fields:
+            fh.write(f"POINT_DATA {nv}\n")
+        for name, values in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.writelines(_vtk_rows("%.15e\n", values))

@@ -94,8 +94,9 @@ def test_error_norms_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole-array evaluation peaked at 139.4 MB here
-    assert peak <= 64 * 2 ** 20
+    # the whole-array evaluation peaked at 139.4 MB here, and blocks of
+    # 2^15 triangles at 29.6 MB
+    assert peak <= 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("extra", [3, -1])

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sbmlab import assembly as asm
 from sbmlab import geometry as geo
@@ -236,8 +239,20 @@ def _stacked_p1_gradients(tri_vertices):
     return perp / area2[..., None, None]
 
 
-def _einsum_assemble(mesh_, quad, sol, gamma):
-    """assemble with every per-triangle kernel as one np.einsum (oracle)."""
+def _coo_sum(mesh_, *blocks):
+    """Local 3 x 3 matrices summed by scipy's COO -> CSR conversion (oracle
+    for ``assembly.scatter``)."""
+    ids = np.concatenate([ids for ids, _ in blocks])
+    data = np.concatenate([vals.ravel() for _, vals in blocks])
+    nv = mesh_.num_vertices
+    return sp.coo_matrix((data, (np.repeat(ids, 3, axis=1).ravel(),
+                                 np.tile(ids, (1, 3)).ravel())),
+                         shape=(nv, nv)).tocsr()
+
+
+def _einsum_assemble(mesh_, quad, sol, gamma, summed=asm.scatter):
+    """assemble with every per-triangle kernel as one np.einsum (oracle),
+    the local matrices summed by ``summed``."""
     nv = mesh_.num_vertices
     tris = mesh_.triangles
     p = mesh_.vertices[tris]
@@ -260,18 +275,18 @@ def _einsum_assemble(mesh_, quad, sol, gamma):
     b_edge = (-np.einsum("eq,eq,ei->ei", w, quad.gbar, dn)
               + np.einsum("e,eq,eq,eqi->ei", pen, w, quad.gbar, sh))
     np.add.at(rhs, etri.ravel(), b_edge.ravel())
-    return asm.scatter(nv, (tris, k_loc), (etri, a_edge)), rhs
+    return summed(mesh_, (tris, k_loc), (etri, a_edge)), rhs
 
 
-def _einsum_energy_gram(mesh_, quad):
-    """analysis.energy_gram with its stiffness block as one einsum (oracle)."""
+def _einsum_energy_gram(mesh_, quad, summed=asm.scatter):
+    """analysis.energy_gram with its stiffness block as one einsum (oracle),
+    the local matrices summed by ``summed``."""
     grads = _stacked_p1_gradients(mesh_.vertices[mesh_.triangles])
     k_loc = np.einsum("tid,tjd,t->tij", grads, grads, mesh_.triangle_areas())
     etri, _, _, sh = asm.edge_basis(mesh_, quad)
     m_loc = np.einsum("e,eq,eqi,eqj->eij", 1.0 / quad.h_owner, quad.weights,
                       sh, sh)
-    return asm.scatter(mesh_.num_vertices, (mesh_.triangles, k_loc),
-                       (etri, m_loc))
+    return summed(mesh_, (mesh_.triangles, k_loc), (etri, m_loc))
 
 
 def _assert_same_csr(got, want):
@@ -297,3 +312,57 @@ def test_kernels_match_einsum_oracle_bitwise(domain, solution, n, zeta):
     np.testing.assert_array_equal(system.rhs, rhs)
     _assert_same_csr(analysis.energy_gram(mesh_, quad),
                      _einsum_energy_gram(mesh_, quad))
+
+
+@pytest.mark.parametrize("domain,solution,n,zeta", [
+    ("corner", "corner23", 8, None),
+    ("corner", "corner23", 40, None),
+    ("disk", "sinsin", 119, None),
+    ("square", "sinsin", 16, None),
+    ("disk", "sinsin", 64, 0.5),
+])
+def test_stencil_sum_matches_coo_oracle(domain, solution, n, zeta):
+    from sbmlab import analysis
+
+    _, sol, mesh_, quad, system = make_problem(domain, solution, n, zeta=zeta)
+    pairs = [(system.matrix, _einsum_assemble(mesh_, quad, sol, 10.0,
+                                              _coo_sum)[0]),
+             (analysis.energy_gram(mesh_, quad),
+              _einsum_energy_gram(mesh_, quad, _coo_sum))]
+    for got, want in pairs:
+        assert got.has_canonical_format
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+        # the oracle keeps its exact zeros; the stencil sum drops them
+        want.eliminate_zeros()
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+
+
+def test_assembly_needs_a_mesh_from_a_grid(corner_problem):
+    _, sol, mesh_, quad, _ = corner_problem
+    gridless = replace(mesh_, grid_index=None, grid_n=None)
+    with pytest.raises(asm.AssemblyError, match="grid_n is None"):
+        asm.assemble(gridless, quad, sol, 10.0)
+    with pytest.raises(asm.AssemblyError, match="grid_n is None"):
+        asm.scatter(gridless, (mesh_.triangles,
+                               np.ones((mesh_.num_triangles, 3, 3))))
+    # grid positions twice as far apart put every coupling off the stencil
+    spread = replace(mesh_, grid_index=2 * mesh_.grid_index)
+    with pytest.raises(asm.AssemblyError, match="7-point stencil"):
+        asm.assemble(spread, quad, sol, 10.0)
+
+
+def test_assembly_memory_is_bounded_by_the_matrix():
+    sol = geo.make_corner_solution()
+    dom = geo.bind_dirichlet(geo.make_corner_domain(), sol)
+    mesh_ = msh.surrogate_mesh(dom, 320)
+    quad = asm.build_boundary_quadrature(mesh_, dom)
+    tracemalloc.start()
+    try:
+        matrix = asm.assemble(mesh_, quad, sol, 10.0).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    # the COO triplets and their sort peaked at 13.4 times the matrix here
+    assert peak <= 8 * csr_bytes
