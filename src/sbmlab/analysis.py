@@ -73,10 +73,7 @@ def error_norms(mesh, u_h, sol):
         vals = u_h[tri]                               # (nb, 3)
 
         qp = np.matmul(bary, p)                       # (nb, q, 2)
-        flat = qp.reshape(-1, 2)
-        shape = qp.shape[:2]
-        ue = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
-        ge = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
+        ue, ge = sol.jet(qp)                          # (nb, q), (nb, q, 2)
 
         uh_q = np.matmul(vals, bary.T)
         gh = _p1_gradient(vals, p)                    # per triangle
@@ -87,37 +84,16 @@ def error_norms(mesh, u_h, sol):
     return math.sqrt(e2), math.sqrt(g2)
 
 
-def _nudged_points(mesh, quad, corner):
-    """Move quadrature points sitting on the corner 1e-12 along their edge."""
-    pts = quad.points
-    if corner is None:
-        return pts
-    close = np.linalg.norm(pts - corner, axis=-1) < 1e-14
-    if not np.any(close):
-        return pts
-    pts = pts.copy()
-    ends = mesh.vertices[mesh.edge_vertices]    # (ne, 2, 2)
-    tangent = ends[:, 1, :] - ends[:, 0, :]
-    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
-    shift = np.broadcast_to(tangent[:, None, :], pts.shape)
-    pts[close] += 1e-12 * shift[close]
-    return pts
-
-
 def _shift_values(mesh, quad, v):
     """Transported nodal field v + grad(v) . d at all boundary Gauss points."""
     etri, _, _, sh = edge_basis(mesh, quad)
     return np.einsum("eqk,ek->eq", sh, v[etri])
 
 
-def _exact_trace(mesh, quad, sol):
+def _exact_trace(quad, sol):
     """Transported exact solution u + grad(u) . d at all boundary Gauss
-    points (points on the solution's corner nudged off it)."""
-    pts = _nudged_points(mesh, quad, sol.corner)
-    flat = pts.reshape(-1, 2)
-    shape = pts.shape[:2]
-    u = np.asarray(sol.eval(flat), dtype=float).reshape(shape)
-    g = np.asarray(sol.grad(flat), dtype=float).reshape(shape + (2,))
+    points."""
+    u, g = sol.jet(quad.points)
     return u + np.einsum("eqd,eqd->eq", g, quad.d)
 
 
@@ -156,7 +132,7 @@ def remainder_norm(mesh, quad, sol):
     defect is integrated with weight 1/h. Vanishes identically for affine
     solutions and on fitted meshes.
     """
-    defect = quad.gbar - _exact_trace(mesh, quad, sol)
+    defect = quad.gbar - _exact_trace(quad, sol)
     return math.sqrt(_boundary_sq(quad, defect))
 
 
@@ -164,7 +140,7 @@ def energy_error(mesh, quad, u_h, sol, h1):
     """Energy-norm error: the H1 part ``h1`` (from ``error_norms``) plus the
     transported boundary mismatch."""
     s_h = _shift_values(mesh, quad, _nodal(mesh, u_h))
-    bnd = _boundary_sq(quad, _exact_trace(mesh, quad, sol) - s_h)
+    bnd = _boundary_sq(quad, _exact_trace(quad, sol) - s_h)
     return math.sqrt(h1 * h1 + bnd)
 
 

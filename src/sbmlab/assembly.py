@@ -264,8 +264,8 @@ def assemble(mesh, quad, sol, gamma):
     mesh; the sums keep the order of one pass over all triangles and then
     all edges.
     """
-    if not gamma > 0.0:  # also rejects NaN
-        raise AssemblyError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:  # also rejects NaN
+        raise AssemblyError(f"gamma must be positive and finite, got {gamma}")
 
     total = _StencilSum(mesh)
     rhs = np.zeros(mesh.num_vertices)

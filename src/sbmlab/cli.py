@@ -41,8 +41,9 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        if not self.gamma > 0.0:  # also rejects NaN
-            raise ConfigError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"gamma must be positive and finite, got {self.gamma}")
         if self.n0 < 4:
             raise ConfigError("n0 must be at least 4")
         if self.domain == "corner" and self.n0 % 2:

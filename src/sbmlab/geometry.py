@@ -58,13 +58,17 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Manufactured solution with value, gradient and source term;
-    ``corner`` is the point where the gradient is singular, if any."""
+    """Manufactured solution with its source term.
 
-    eval: Callable
-    grad: Callable
+    ``jet`` maps points (..., 2) to their values (...) and gradients
+    (..., 2) in one evaluation; ``eval`` returns the values alone.
+    """
+
+    jet: Callable
     rhs_f: Callable
-    corner: Optional[tuple] = None
+
+    def eval(self, x):
+        return self.jet(x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,57 +323,46 @@ def make_corner_domain():
 # exact-solution catalog
 # ---------------------------------------------------------------------------
 
+def _no_source(x):
+    return np.zeros(np.shape(x)[:-1])
+
+
 def make_affine_solution(a, b, c):
     """u = a + b*x + c*y; harmonic with zero source."""
     a, b, c = float(a), float(b), float(c)
 
-    def ev(x):
+    def jet(x):
         x = np.asarray(x, dtype=float)
-        return a + b * x[..., 0] + c * x[..., 1]
-
-    def gr(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         g = np.empty_like(x)
-        g[:, 0] = b
-        g[:, 1] = c
-        return g
+        g[..., 0] = b
+        g[..., 1] = c
+        return a + b * x[..., 0] + c * x[..., 1], g
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return ExactSolution(ev, gr, f)
+    return ExactSolution(jet, _no_source)
 
 
 def make_sinsin_solution():
     """u = sin(pi x) sin(pi y) with f = 2 pi^2 sin(pi x) sin(pi y)."""
     pi = np.pi
 
-    def ev(x):
+    def jet(x):
         x = np.asarray(x, dtype=float)
-        return np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
-
-    def gr(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        sx, cx = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
-        sy, cy = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
-        return np.stack([pi * cx * sy, pi * sx * cy], axis=-1)
+        sx, cx = np.sin(pi * x[..., 0]), np.cos(pi * x[..., 0])
+        sy, cy = np.sin(pi * x[..., 1]), np.cos(pi * x[..., 1])
+        return sx * sy, np.stack([pi * cx * sy, pi * sx * cy], axis=-1)
 
     def f(x):
-        return 2.0 * pi * pi * ev(x)
+        # the value alone: the jet's gradient would raise the assembly's
+        # peak (by 3.7 MB at disk n=192)
+        x = np.asarray(x, dtype=float)
+        u = np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
+        return 2.0 * pi * pi * u
 
-    return ExactSolution(ev, gr, f)
+    return ExactSolution(jet, f)
 
 
 _CORNER_LAMBDA = 2.0 / 3.0
 _CORNER_PHASE = np.pi / 6.0
-
-
-def _corner_angle(x, y):
-    # polar angle at the origin, wrapped to [-pi/4, 7pi/4) so the cut sits
-    # just outside the domain (below the right branch)
-    th = np.arctan2(y, x)
-    return np.where(th < -np.pi / 4.0, th + 2.0 * np.pi, th)
 
 
 def make_corner_solution():
@@ -377,33 +370,28 @@ def make_corner_solution():
 
     With the polar angle measured from the positive x axis, the phase pi/6
     places the zeros of the angular factor on the two branch tangents
-    y = -|x|, so the Dirichlet trace stays smooth along each branch.
+    y = -|x|, so the Dirichlet trace stays smooth along each branch. The
+    gradient is singular at the corner; there it is set to 0.
     """
     lam, phase = _CORNER_LAMBDA, _CORNER_PHASE
 
-    def ev(x):
+    def jet(x):
         x = np.asarray(x, dtype=float)
         rho = np.hypot(x[..., 0], x[..., 1])
-        th = _corner_angle(x[..., 0], x[..., 1])
-        return rho ** lam * np.sin(lam * th + phase)
-
-    def gr(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rho = np.hypot(x[:, 0], x[:, 1])
-        th = _corner_angle(x[:, 0], x[:, 1])
+        # polar angle at the origin, wrapped to [-pi/4, 7pi/4) so the cut
+        # sits just outside the domain (below the right branch)
+        th = np.arctan2(x[..., 1], x[..., 0])
+        th = np.where(th < -np.pi / 4.0, th + 2.0 * np.pi, th)
         safe = np.where(rho > 0.0, rho, 1.0)
         dr = lam * safe ** (lam - 1.0)
         # sin(psi) e_r + cos(psi) e_theta with psi = lam*th + phase is
         # (sin, cos) of psi - th
         chi = (lam - 1.0) * th + phase
         g = np.stack([dr * np.sin(chi), dr * np.cos(chi)], axis=-1)
-        return np.where(rho[:, None] > 0.0, g, 0.0)
+        return (rho ** lam * np.sin(lam * th + phase),
+                np.where(rho[..., None] > 0.0, g, 0.0))
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return ExactSolution(ev, gr, f, corner=(0.0, 0.0))
+    return ExactSolution(jet, _no_source)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +423,10 @@ def solution_by_name(name):
             a, b, c = (float(v) for v in name[len("affine:"):].split(","))
         except ValueError as err:
             raise GeometryError(f"bad affine parameters in {name!r}") from err
+        for v in (a, b, c):
+            if not math.isfinite(v):
+                raise GeometryError(
+                    f"affine parameter {v} in {name!r} is not finite")
         return make_affine_solution(a, b, c)
     raise GeometryError(
         f"unknown solution {name!r}; catalog: {', '.join(SOLUTION_NAMES)}")

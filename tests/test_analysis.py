@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,9 +59,9 @@ def _error_norms_oracle(mesh_, u_h, sol):
     grads = p1_gradients(p)
     vals = u_h[mesh_.triangles]
     qp = np.einsum("qk,tkd->tqd", bary, p)
-    flat = qp.reshape(-1, 2)
-    ue = np.asarray(sol.eval(flat), dtype=float).reshape(qp.shape[:2])
-    ge = np.asarray(sol.grad(flat), dtype=float).reshape(qp.shape[:2] + (2,))
+    ue, ge = sol.jet(qp.reshape(-1, 2))
+    ue = ue.reshape(qp.shape[:2])
+    ge = ge.reshape(qp.shape[:2] + (2,))
     uh_q = np.einsum("tk,qk->tq", vals, bary)
     gh = np.einsum("tk,tkd->td", vals, grads)
     e2 = np.einsum("tq,q,t->", (ue - uh_q) ** 2, wts, areas)
@@ -82,6 +83,25 @@ def test_error_norms_blocks_match_whole_array_oracle(monkeypatch, name,
     ref_l2, ref_h1 = _error_norms_oracle(mesh_, u_h, sol)
     assert abs(l2 - ref_l2) <= 1e-13 * ref_l2
     assert abs(h1 - ref_h1) <= 1e-13 * ref_h1
+
+
+@pytest.mark.parametrize("name, sol_name, n",
+                         [("corner", "corner23", 40), ("disk", "sinsin", 32)])
+def test_error_norms_evaluate_each_point_once(monkeypatch, name, sol_name,
+                                              n):
+    sol = geo.solution_by_name(sol_name)
+    mesh_ = msh.surrogate_mesh(geo.domain_by_name(name), n)
+    u_h = np.asarray(sol.eval(mesh_.vertices))
+    monkeypatch.setattr(an, "_ERROR_BLOCK", 1000)  # several blocks
+    points = []
+
+    def counted(x):
+        points.append(np.asarray(x).size // 2)
+        return sol.jet(x)
+
+    an.error_norms(mesh_, u_h, replace(sol, jet=counted))
+    assert sum(points) == 6 * mesh_.num_triangles  # degree-4 rule
+    assert len(points) == -(-mesh_.num_triangles // 1000)
 
 
 def test_error_norms_memory_is_bounded_by_the_block():
@@ -187,10 +207,8 @@ def test_remainder_vanishes_on_fitted_mesh(fitted_square_problem):
 
 
 def test_remainder_finite_with_quadrature_point_on_corner(corner_problem):
-    # a sample sitting exactly on the singular corner is nudged along its
-    # edge instead of producing a non-finite gradient
-    from dataclasses import replace
-
+    # a sample sitting exactly on the singular corner gets the jet's zero
+    # gradient there, so the remainder stays finite
     dom, sol, mesh_, quad, _ = corner_problem
     pts = quad.points.copy()
     e = int(np.argmin(np.linalg.norm(pts.reshape(-1, 2), axis=1))) // quad.nq
@@ -200,8 +218,9 @@ def test_remainder_finite_with_quadrature_point_on_corner(corner_problem):
 
 
 def test_error_report_finite_with_one_gauss_point_on_corner():
-    # at odd n an edge midpoint sits on the corner; with one Gauss point
-    # per edge the nudge direction must come from the edge, not its points
+    # at odd n an edge midpoint sits on the corner, up to rounding; with
+    # one Gauss point per edge the energy error and the remainder evaluate
+    # the jet there and must stay finite
     dom, sol, mesh_, quad, system = make_problem("corner", "corner23", 7,
                                                  nq_edge=1)
     assert np.any(np.linalg.norm(quad.points, axis=-1) < 1e-14)

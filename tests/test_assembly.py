@@ -198,7 +198,7 @@ def test_boundary_quadrature_invariants(corner_problem, disk_problem):
 
 def test_gamma_must_be_positive(fitted_square_problem):
     _, sol, mesh_, quad, _ = fitted_square_problem
-    for gamma in (0.0, -1.0, np.nan):
+    for gamma in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(asm.AssemblyError, match="gamma"):
             asm.assemble(mesh_, quad, sol, gamma)
 

@@ -39,6 +39,20 @@ def test_nonpositive_gamma_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--gamma", "nan", "--out", str(tmp_path)])
     assert code == 2
     assert "gamma must be positive" in capsys.readouterr().err
+    code = cli.main(["run", "--gamma", "inf", "--out", str(tmp_path)])
+    assert code == 2
+    assert "gamma must be positive and finite, got inf" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("params, bad", [("nan,0,0", "nan"),
+                                         ("0,1,-inf", "-inf")])
+def test_nonfinite_affine_parameter_exits_2(params, bad, tmp_path, capsys):
+    code = cli.main(["run", "--domain", "square", "--solution",
+                     f"affine:{params}", "--n0", "8", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"affine parameter {bad} in 'affine:{params}' is not finite" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])

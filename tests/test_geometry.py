@@ -387,10 +387,34 @@ def test_gradients_match_finite_differences(name, domain, rng):
     h = 1e-6
     gx = (sol.eval(pts + [h, 0]) - sol.eval(pts - [h, 0])) / (2 * h)
     gy = (sol.eval(pts + [0, h]) - sol.eval(pts - [0, h])) / (2 * h)
-    grad = sol.grad(pts)
+    grad = sol.jet(pts)[1]
     scale = np.maximum(np.linalg.norm(grad, axis=1), 1e-12)
     err = np.linalg.norm(grad - np.stack([gx, gy], axis=-1), axis=1) / scale
     assert err.max() <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["affine:0.4,1.3,-0.7", "sinsin",
+                                  "corner23"])
+def test_eval_is_the_jets_value_bitwise(name, rng):
+    sol = geo.solution_by_name(name)
+    pts = rng.uniform(-0.6, 0.6, (50, 2))
+    values, grads = sol.jet(pts)
+    assert values.shape == (50,) and grads.shape == (50, 2)
+    assert np.array_equal(sol.eval(pts), values)
+    # one point of shape (2,) gives a scalar value and one gradient
+    value, grad = sol.jet(pts[7])
+    assert value.shape == () and grad.shape == (2,)
+    assert value == values[7] and np.array_equal(grad, grads[7])
+
+
+def test_corner_jet_at_its_singular_point():
+    # RuntimeWarnings are errors under the test configuration, so neither
+    # point may divide by zero or overflow
+    sol = geo.make_corner_solution()
+    values, grads = sol.jet(np.array([[0.0, 0.0], [0.0, 5.55e-17]]))
+    assert values[0] == 0.0 and np.array_equal(grads[0], [0.0, 0.0])
+    assert np.isfinite(values[1]) and np.isfinite(grads[1]).all()
+    assert np.linalg.norm(grads[1]) > 1e5  # rho^(-1/3) is large, not capped
 
 
 def test_sinsin_source_term():
