@@ -179,8 +179,9 @@ def nonsymmetry_residual(sys, mesh, quad, w, v):
     etri, eg, _, _ = edge_basis(mesh, quad)
     gw = np.einsum("ek,ekd->ed", w[etri], eg)
     gv = np.einsum("ek,ekd->ed", v[etri], eg)
-    dnw = np.einsum("ed,ed->e", gw, mesh.edge_normal)
-    dnv = np.einsum("ed,ed->e", gv, mesh.edge_normal)
+    normal = mesh.edge_normals()
+    dnw = np.einsum("ed,ed->e", gw, normal)
+    dnv = np.einsum("ed,ed->e", gv, normal)
     wd = np.einsum("ed,eqd->eq", gw, quad.d)
     vd = np.einsum("ed,eqd->eq", gv, quad.d)
     bracket = float(np.einsum("e,eq,eq->", dnw, vd, quad.weights)

@@ -149,7 +149,7 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
         if ss.dirichlet_g is None:
             raise AssemblyError(f"sideset {ss.sid} has no Dirichlet datum")
     ids = assign_sidesets(domain, mesh.vertices, mesh.edge_vertices,
-                          mesh.edge_normal)
+                          mesh.edge_normals())
     a = mesh.vertices[mesh.edge_vertices[:, 0]]
     b = mesh.vertices[mesh.edge_vertices[:, 1]]
 
@@ -171,7 +171,7 @@ def build_boundary_quadrature(mesh, domain, nq_edge=3):
 
     return BoundaryQuadrature(points=points, weights=weights, d=d, gbar=gbar,
                               sideset_id=ids,
-                              h_owner=mesh.h_per_triangle[mesh.edge_owner])
+                              h_owner=mesh.diameters(mesh.edge_owner))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +298,9 @@ def assemble(mesh, quad, sol, gamma):
 
     # boundary terms
     etri, eg, phi, sh = edge_basis(mesh, quad)
-    dn = np.einsum("eid,ed->ei", eg, mesh.edge_normal)   # (ne, 3)
+    dn = np.einsum("eid,ed->ei", eg, mesh.edge_normals())  # (ne, 3)
     w = quad.weights
-    pen = gamma / quad.h_owner                           # (ne,)
+    pen = gamma / quad.h_owner                              # (ne,)
 
     a_edge = (
         -np.einsum("eq,eqi,ej->eij", w, phi, dn)

@@ -54,12 +54,14 @@ class RunConfig:
             raise ConfigError("levels must be at least 1")
         if not 0.0 <= self.zeta <= 1.0:
             raise ConfigError(f"zeta must be in [0, 1], got {self.zeta}")
-        if not self.c_d > 0.0:
-            raise ConfigError(f"c_d must be positive, got {self.c_d}")
+        if not 0.0 < self.c_d < math.inf:
+            raise ConfigError(
+                f"c_d must be positive and finite, got {self.c_d}")
         if self.nq_edge < 1:
             raise ConfigError("nq_edge must be at least 1")
-        if not self.solver_tol > 0.0:  # also rejects NaN
-            raise ConfigError("solver tolerance must be positive")
+        if not 0.0 < self.solver_tol < math.inf:
+            raise ConfigError("solver tolerance must be positive and finite, "
+                              f"got {self.solver_tol}")
 
 
 def load_config(path=None, overrides=None):
@@ -120,10 +122,19 @@ def solve_level(cfg, domain, sol, n):
     return mesh, quad, system, report, err
 
 
+def _make_out(cfg):
+    """Create the output directory, or raise ConfigError naming it."""
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {cfg.out}: "
+                          f"{err.strerror}") from err
+
+
 def cmd_run(cfg):
     """Single solve at n0; writes VTK of the solution and nodal error."""
     domain, sol = _problem(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out(cfg)
     mesh, _, _, rep, err = solve_level(cfg, domain, sol, cfg.n0)
     point_err = np.abs(np.asarray(sol.eval(mesh.vertices)) - rep.solution)
     vtk_path = os.path.join(cfg.out, f"{cfg.domain}_n{cfg.n0}.vtk")
@@ -144,7 +155,7 @@ def cmd_study(cfg):
     if cfg.levels < 2:
         raise ConfigError("a study needs at least 2 levels")
     domain, sol = _problem(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    _make_out(cfg)
     tag = cfg.solution.replace(":", "_").replace(",", "_")
     csv_path = os.path.join(cfg.out, f"study_{cfg.domain}_{tag}.csv")
     reports = []
@@ -181,8 +192,7 @@ def cmd_study(cfg):
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _verify_checks(cfg):
-    domain, sol = _problem(cfg)
+def _verify_checks(cfg, domain, sol):
     n = cfg.n0
     mesh, quad, system = _discretize(cfg, domain, sol, n, cfg.shift_enabled)
     rng = np.random.default_rng(20240901)
@@ -229,8 +239,9 @@ def _verify_checks(cfg):
 
 def cmd_verify(cfg):
     """Run the identity/consistency checks; nonzero exit on any failure."""
-    checks = _verify_checks(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
+    domain, sol = _problem(cfg)
+    _make_out(cfg)
+    checks = _verify_checks(cfg, domain, sol)
     path = os.path.join(cfg.out, "verify_report.json")
     # a measured value with a record (the coercivity eigensolve) adds it
     payload = [{"check": name, "measured": float(measured), "bound": bound,

@@ -3,8 +3,8 @@
 An n x n grid of cells covers the domain bounding box, each cell split
 along the SW-NE diagonal. The triangles of this grid fully contained in the
 closed domain form the surrogate mesh on which the discrete problem lives;
-its boundary edges carry outward unit normals and the owning triangle's
-diameter. The whole grid is kept as plain arrays, never as a mesh.
+its boundary edges are those no other kept triangle shares. The whole grid
+is kept as plain arrays, never as a mesh.
 """
 
 from __future__ import annotations
@@ -23,17 +23,19 @@ class MeshError(Exception):
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Triangulation with precomputed surrogate-boundary data.
+    """Triangulation with its surrogate-boundary edges.
 
     vertices        (nv, 2) float
     triangles       (nt, 3) int, counterclockwise
     edge_vertices   (ne, 2) int, boundary edges in owner-cycle orientation
     edge_owner      (ne,) int, owning triangle of each boundary edge
-    edge_normal     (ne, 2) outward unit normals
-    h_per_triangle  (nt,) triangle diameters
     grid_index      (nv,) int, row-major index j (n + 1) + i of each vertex
                     on the (n + 1)^2 points of the grid it comes from
     grid_n          that grid's n; both are None for a mesh not from a grid
+
+    Areas, edge lengths, outward normals and diameters are computed from
+    the vertices by the methods below, where they are read, so a mesh with
+    moved vertices needs nothing else changed.
 
     Boundary edges come by local edge (0-1, 1-2, 2-0), then by owner;
     sideset tie-breaking and the vertex a failed shift names depend on it.
@@ -43,8 +45,6 @@ class TriMesh:
     triangles: np.ndarray
     edge_vertices: np.ndarray
     edge_owner: np.ndarray
-    edge_normal: np.ndarray
-    h_per_triangle: np.ndarray
     grid_index: np.ndarray | None = None
     grid_n: int | None = None
 
@@ -62,7 +62,20 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def triangle_areas(self):
-        return _signed_areas(self.vertices, self.triangles)
+        v, t = self.vertices, self.triangles
+        return _corner_areas(v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
+
+    def diameters(self, which=slice(None)):
+        """Longest side of the triangles ``which`` selects, all by default."""
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        i, j, k = self.triangles[which].T
+
+        def side(p, q):
+            dx = x[p] - x[q]
+            dy = y[p] - y[q]
+            return np.sqrt(dx * dx + dy * dy)
+
+        return np.maximum(side(i, j), np.maximum(side(j, k), side(k, i)))
 
     def boundary_vertex_ids(self):
         return np.unique(self.edge_vertices)
@@ -72,29 +85,13 @@ class TriMesh:
               - self.vertices[self.edge_vertices[:, 0]])
         return np.hypot(ab[:, 0], ab[:, 1])
 
-
-def _signed_areas(vertices, triangles):
-    return _corner_areas(vertices[triangles[:, 0]], vertices[triangles[:, 1]],
-                         vertices[triangles[:, 2]])
-
-
-def _diameters(vertices, triangles):
-    x, y = vertices[:, 0], vertices[:, 1]
-    i, j, k = triangles.T
-
-    def side(p, q):
-        dx = x[p] - x[q]
-        dy = y[p] - y[q]
-        return np.sqrt(dx * dx + dy * dy)
-
-    return np.maximum(side(i, j), np.maximum(side(j, k), side(k, i)))
-
-
-def _normals(vertices, edge_vertices):
-    """Outward unit normals of edges in their owner's cycle orientation."""
-    tangent = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
-    length = np.hypot(tangent[:, 0], tangent[:, 1])
-    return np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1) / length[:, None]
+    def edge_normals(self):
+        """Outward unit normals of the boundary edges: each edge's vector in
+        its owner's counterclockwise cycle, turned clockwise."""
+        ab = (self.vertices[self.edge_vertices[:, 1]]
+              - self.vertices[self.edge_vertices[:, 0]])
+        return (np.stack([ab[:, 1], -ab[:, 0]], axis=-1)
+                / self.edge_lengths()[:, None])
 
 
 def _grid(bbox, n):
@@ -170,19 +167,16 @@ def surrogate_mesh(domain, n):
     local, owner = np.nonzero(~across.reshape(-1, 3)[ok].T)
     ev = triangles[owner[:, None], (local[:, None] + [0, 1]) % 3]
     return TriMesh(vertices=vertices, triangles=triangles, edge_vertices=ev,
-                   edge_owner=owner, edge_normal=_normals(vertices, ev),
-                   h_per_triangle=_diameters(vertices, triangles),
-                   grid_index=np.flatnonzero(used), grid_n=n)
+                   edge_owner=owner, grid_index=np.flatnonzero(used), grid_n=n)
 
 
 def mesh_params(mesh):
     """(h_Gamma, h_Omega): max diameter near the boundary and overall."""
-    h_omega = float(mesh.h_per_triangle.max())
+    h = mesh.diameters()
     on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
     on_boundary[mesh.edge_vertices] = True
     touching = on_boundary[mesh.triangles].any(axis=1)
-    h_gamma = float(mesh.h_per_triangle[touching].max())
-    return h_gamma, h_omega
+    return float(h[touching].max()), float(h.max())
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +200,8 @@ def _global_projection(domain, pts):
 def _damped_move(vertices, triangles, areas0, incident, v, target):
     """Move vertex v toward target by the largest fraction 2^-k, k < 60,
     that keeps each incident triangle at or above the area floor. The full
-    step is checked first, since nearly every move takes it; the other 59
-    candidate positions are checked in one array expression only when it
+    step is tried first, since nearly every move takes it; the other 59
+    candidate positions are tried in one array expression only when it
     is refused. Returns the fraction, or 0.0 with v left where it was."""
     orig = vertices[v]
     step = target - orig
@@ -236,24 +230,24 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
 
     Every boundary edge must have each of its samples within
     c_d * h_T^(1+zeta) of the true boundary, h_T the current diameter of
-    the edge's owner triangle. Each round pulls the endpoints of every edge
-    over this bound along their closest-point direction by the edge's
-    excess; because a vertex starts a boundary edge and its own position is
-    that edge's first sample, this also brings every vertex within its
-    bound. Moves are damped so each triangle keeps at least 20% of its
-    pre-shift area. If the bound still fails, a MeshError names the first
-    fully blocked vertex, or else an endpoint of the worst edge and the
-    rounds used. Each round makes one projection, of the edges with an
-    endpoint that moved since the last one.
+    the edge's owner triangle. Each round projects the samples of every
+    boundary edge once, then pulls the endpoints of every edge over this
+    bound along their closest-point direction by the edge's excess;
+    because a vertex starts a boundary edge and its own position is that
+    edge's first sample, this also brings every vertex within its bound.
+    Moves are damped so each triangle keeps at least 20% of its pre-shift
+    area. If the bound still fails, a MeshError names the first fully
+    blocked vertex, or else an endpoint of the worst edge and the rounds
+    used. The result differs from ``mesh`` only in its vertices.
     """
     if not 0.0 <= zeta <= 1.0:
         raise MeshError(f"zeta must be in [0, 1], got {zeta}")
-    if not c_d > 0.0:
-        raise MeshError(f"c_d must be positive, got {c_d}")
+    if not 0.0 < c_d < np.inf:  # also rejects NaN
+        raise MeshError(f"c_d must be positive and finite, got {c_d}")
     vertices = mesh.vertices.copy()
     triangles = mesh.triangles
     nv = mesh.num_vertices
-    areas0 = _signed_areas(vertices, triangles)
+    areas0 = mesh.triangle_areas()
     # CSR incidence: the triangles of vertex v are tri_of[start[v]:start[v+1]]
     order = np.argsort(triangles.ravel(), kind="stable")
     start = np.searchsorted(triangles.ravel()[order], np.arange(nv + 1))
@@ -264,43 +258,33 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
     # sampled, so their nodes may see a larger distance)
     taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7),
                                      gauss_segment(3)[0]]))
-
     ev = mesh.edge_vertices
-    owners = triangles[mesh.edge_owner]
-    # projections are cached and redone only for edges with an endpoint
-    # that moved since the last check; project_points works row by row (the
-    # arctan branches take a fixed number of Newton steps), so a cached
-    # distance has the bits a fresh projection would give. NaN never
-    # compares equal, so the first check projects everything.
-    checked = np.full((nv, 2), np.nan)
-    sample_max = np.empty(len(ev))
-    # closest point and distance of each boundary vertex: the first (tau=0)
-    # sample of the edge it starts
-    proj = np.empty((nv, 2))
-    vdist = np.empty(nv)
 
     def edge_excess():
-        stale = np.any(vertices != checked, axis=1)[ev].any(axis=1)
-        if np.any(stale):
-            a = vertices[ev[stale, 0]]
-            b = vertices[ev[stale, 1]]
-            samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
-            p, dist = _global_projection(domain, samples.reshape(-1, 2))
-            dist = dist.reshape(len(a), taus.size)
-            sample_max[stale] = dist.max(axis=1)
-            proj[ev[stale, 0]] = p.reshape(len(a), taus.size, 2)[:, 0]
-            vdist[ev[stale, 0]] = dist[:, 0]
-        checked[:] = vertices
+        """Each edge's largest sample distance over its bound, and the
+        closest point and distance of each boundary vertex: the first
+        (tau=0) sample of the edge it starts."""
+        a = vertices[ev[:, 0]]
+        b = vertices[ev[:, 1]]
+        samples = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
+        p, dist = _global_projection(domain, samples.reshape(-1, 2))
+        dist = dist.reshape(len(ev), taus.size)
+        proj = np.empty((nv, 2))
+        vdist = np.empty(nv)
+        proj[ev[:, 0]] = p.reshape(len(ev), taus.size, 2)[:, 0]
+        vdist[ev[:, 0]] = dist[:, 0]
         # diameters shrink when neighboring vertices converge on the
         # boundary, so the bound follows the current geometry
-        return sample_max - c_d * _diameters(vertices, owners) ** (1.0 + zeta)
+        h = replace(mesh, vertices=vertices).diameters(mesh.edge_owner)
+        return dist.max(axis=1) - c_d * h ** (1.0 + zeta), proj, vdist
 
     blocked = np.zeros(nv, dtype=bool)
     for round_ in range(_SHIFT_ROUNDS):
-        excess = edge_excess()
+        excess, proj, vdist = edge_excess()
         hot = excess > 1e-11
         if not np.any(hot):
             break
+        before = vertices.copy()
         pull = np.zeros(nv)
         np.maximum.at(pull, ev[hot].ravel(), np.repeat(excess[hot], 2))
         # a vertex moves only in its own step, so its round-start projection
@@ -317,11 +301,11 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
                 blocked[v] = True
         # stop when no coordinate changed: a damped move with a tiny frac
         # rounds back onto the vertex's old position
-        if np.array_equal(vertices, checked):
+        if np.array_equal(vertices, before):
             break
     else:
-        # only the round cap leaves moved vertices behind the last check
-        excess = edge_excess()
+        # only the round cap leaves moves made after the last projection
+        excess = edge_excess()[0]
     if np.any(excess > 1e-9):
         stuck = np.flatnonzero(blocked)
         culprit = stuck[0] if stuck.size else ev[np.argmax(excess), 0]
@@ -331,8 +315,7 @@ def shift_boundary_nodes(mesh, domain, zeta, c_d):
         raise MeshError(
             f"cannot satisfy distance bound near vertex {culprit} "
             f"(excess {float(excess.max()):.3e}) {cause}")
-    return replace(mesh, vertices=vertices, edge_normal=_normals(vertices, ev),
-                   h_per_triangle=_diameters(vertices, triangles))
+    return replace(mesh, vertices=vertices)
 
 
 # ---------------------------------------------------------------------------

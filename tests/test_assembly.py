@@ -26,9 +26,7 @@ def one_triangle_shift(tri, vals, x, d):
     t = np.array([[0, 1, 2]])
     ev = np.array([[0, 1], [1, 2], [2, 0]])
     m = msh.TriMesh(vertices=tri, triangles=t, edge_vertices=ev,
-                    edge_owner=np.zeros(3, dtype=int),
-                    edge_normal=msh._normals(tri, ev),
-                    h_per_triangle=msh._diameters(tri, t))
+                    edge_owner=np.zeros(3, dtype=int))
     ne = m.edge_owner.size
     quad = SimpleNamespace(points=np.broadcast_to(x, (ne,) + x.shape),
                            d=np.broadcast_to(d, (ne,) + d.shape))
@@ -73,15 +71,16 @@ def classical_nitsche(mesh_, domain, sol, gamma, nq):
                     0.5 * (p[2] + p[0])):
             fval = float(sol.rhs_f(mid[None, :])[0])
             b[tri] += (area / 3.0) * fval * asm.p1_values(p, mid)
+    normals, diameters = mesh_.edge_normals(), mesh_.diameters()
     for k in range(mesh_.edge_vertices.shape[0]):
         tri = mesh_.triangles[mesh_.edge_owner[k]]
         p = mesh_.vertices[tri]
         g = asm.p1_gradients(p)
-        dn = g @ mesh_.edge_normal[k]
+        dn = g @ normals[k]
         va = mesh_.vertices[mesh_.edge_vertices[k, 0]]
         vb = mesh_.vertices[mesh_.edge_vertices[k, 1]]
         length = np.linalg.norm(vb - va)
-        h_t = mesh_.h_per_triangle[mesh_.edge_owner[k]]
+        h_t = diameters[mesh_.edge_owner[k]]
         for x, w in zip(xi, wref):
             q = va + x * (vb - va)
             phi = asm.p1_values(p, q)
@@ -145,13 +144,14 @@ def test_apply_form_basics_and_oracle(corner_problem, rng):
         gw = np.einsum("tk,tkd->td", w[mesh_.triangles], grads)
         gv = np.einsum("tk,tkd->td", v[mesh_.triangles], grads)
         total += np.einsum("td,td,t->", gw, gv, mesh_.triangle_areas())
+        normals = mesh_.edge_normals()
         for k in range(mesh_.edge_vertices.shape[0]):
             tri = mesh_.triangles[mesh_.edge_owner[k]]
             pt = mesh_.vertices[tri]
             g = asm.p1_gradients(pt)
             grad_w = g.T @ w[tri]
             grad_v = g.T @ v[tri]
-            nrm = mesh_.edge_normal[k]
+            nrm = normals[k]
             h_t = quad.h_owner[k]
             for q in range(quad.nq):
                 x = quad.points[k, q]
@@ -266,7 +266,7 @@ def _einsum_assemble(mesh_, quad, sol, gamma, summed=asm.scatter):
     rhs = np.zeros(nv)
     np.add.at(rhs, tris.ravel(), b_loc.ravel())
     etri, eg, phi, sh = asm.edge_basis(mesh_, quad)
-    dn = np.einsum("eid,ed->ei", eg, mesh_.edge_normal)
+    dn = np.einsum("eid,ed->ei", eg, mesh_.edge_normals())
     w = quad.weights
     pen = gamma / quad.h_owner
     a_edge = (-np.einsum("eq,eqi,ej->eij", w, phi, dn)

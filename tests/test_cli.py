@@ -55,11 +55,13 @@ def test_nonfinite_affine_parameter_exits_2(params, bad, tmp_path, capsys):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
 def test_nonpositive_tol_exits_2(tol, tmp_path, capsys):
     code = cli.main(["run", f"--tol={tol}", "--out", str(tmp_path)])
     assert code == 2
-    assert "solver tolerance must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver tolerance must be positive")
+    assert err.rstrip().endswith(f"got {float(tol)}")
     assert not list(tmp_path.iterdir())  # rejected before any work
 
 
@@ -71,6 +73,7 @@ def test_nonpositive_tol_exits_2(tol, tmp_path, capsys):
     (["--c-d", "-3"], "c_d"),
     (["--shift", "--c-d", "nan"], "c_d"),
     (["--shift", "--zeta", "nan"], "zeta"),
+    (["--shift", "--c-d", "inf"], "c_d"),
 ])
 def test_bad_shift_parameters_exit_2(flags, field, tmp_path, capsys):
     code = cli.main(["run", "--domain", "disk", "--solution", "sinsin",
@@ -79,6 +82,18 @@ def test_bad_shift_parameters_exit_2(flags, field, tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: {field} must be")
     assert not list(tmp_path.iterdir())  # rejected before any work
+
+
+@pytest.mark.parametrize("command", ["run", "study", "verify"])
+def test_out_that_cannot_be_created_exits_2(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = cli.main([command, "--n0", "8", "--levels", "2",
+                     "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {taken}:")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_affine_study_reports_exact(tmp_path, capsys):

@@ -256,9 +256,9 @@ def test_assign_matches_per_edge_reference(name, n, shift):
         m = msh.shift_boundary_nodes(m, dom, 0.5, 1.0)
     a = m.vertices[m.edge_vertices[:, 0]]
     b = m.vertices[m.edge_vertices[:, 1]]
-    ids = geo.assign_sidesets(dom, m.vertices, m.edge_vertices, m.edge_normal)
-    np.testing.assert_array_equal(
-        ids, _assign_reference(dom, a, b, m.edge_normal))
+    normals = m.edge_normals()
+    ids = geo.assign_sidesets(dom, m.vertices, m.edge_vertices, normals)
+    np.testing.assert_array_equal(ids, _assign_reference(dom, a, b, normals))
 
 
 @pytest.mark.parametrize("name,n", [("corner", 40), ("disk", 32)])

@@ -174,9 +174,7 @@ def test_one_triangle_mesh_has_no_grid():
     t = np.array([[0, 1, 2]])
     ev = np.array([[0, 1], [1, 2], [2, 0]])
     m = mesh.TriMesh(vertices=tri, triangles=t, edge_vertices=ev,
-                     edge_owner=np.zeros(3, dtype=int),
-                     edge_normal=mesh._normals(tri, ev),
-                     h_per_triangle=mesh._diameters(tri, t))
+                     edge_owner=np.zeros(3, dtype=int))
     assert m.grid is None
     a = np.array([[4.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.2, -1.0, 2.0]])
     rep = solve(system_of(a, [1.0, 2.0, 3.0]), grid=m.grid)

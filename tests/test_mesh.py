@@ -1,4 +1,4 @@
-import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sbmlab import geometry as geo
 from sbmlab import mesh as msh
+from sbmlab.assembly import _corner_areas
 from sbmlab.mesh import MeshError
 
 
@@ -16,7 +17,7 @@ def test_background_counts_and_sizes():
     assert m.num_vertices == 9
     assert m.num_triangles == 8
     m4 = msh.surrogate_mesh(geo.make_square_domain(), 4)
-    assert abs(m4.h_per_triangle.max() - np.sqrt(2.0) / 4.0) <= 1e-14
+    assert abs(m4.diameters().max() - np.sqrt(2.0) / 4.0) <= 1e-14
     assert abs(m4.triangle_areas().sum() - 1.0) <= 1e-12
 
 
@@ -40,7 +41,7 @@ def test_triangle_orientation_and_regularity():
         b = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
         c = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
         inradius = 2.0 * areas / (a + b + c)
-        assert (m.h_per_triangle / inradius).max() <= 10.0
+        assert (m.diameters() / inradius).max() <= 10.0
 
 
 def test_restrict_keeps_everything_when_domain_fills_bbox():
@@ -90,17 +91,10 @@ def _boundary_edges_by_key(vertices, triangles):
     return edge_vertices, owner[on_boundary], normal
 
 
-def _mesh_oracle(vertices, triangles):
-    """TriMesh with its boundary edges found by the key sort."""
-    ev, eo, en = _boundary_edges_by_key(vertices, triangles)
-    return msh.TriMesh(vertices=vertices, triangles=triangles,
-                       edge_vertices=ev, edge_owner=eo, edge_normal=en,
-                       h_per_triangle=msh._diameters(vertices, triangles))
-
-
 def _surrogate_oracle(domain, n):
     """Grid triangles passing the 7-point test, vertices renumbered with
-    np.unique and a remap array, then a full mesh rebuild."""
+    np.unique and a remap array, then the boundary edges by the key sort;
+    returns the mesh and its outward normals."""
     vertices, triangles = msh._grid(domain.bbox, n)
     p = vertices[triangles]
     probes = np.concatenate([p, 0.5 * (p + np.roll(p, -1, axis=1)),
@@ -112,7 +106,10 @@ def _surrogate_oracle(domain, n):
     used = np.unique(kept)
     remap = np.full(len(vertices), -1, dtype=int)
     remap[used] = np.arange(used.size)
-    return _mesh_oracle(vertices[used], remap[kept])
+    vertices, triangles = vertices[used], remap[kept]
+    ev, eo, normals = _boundary_edges_by_key(vertices, triangles)
+    return msh.TriMesh(vertices=vertices, triangles=triangles,
+                       edge_vertices=ev, edge_owner=eo), normals
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 33, 119, 160, 320])
@@ -120,12 +117,12 @@ def _surrogate_oracle(domain, n):
 def test_surrogate_mesh_matches_renumbering_oracle(name, n):
     dom = geo.domain_by_name(name)
     m = msh.surrogate_mesh(dom, n)
-    ref = _surrogate_oracle(dom, n)
-    for field in ("vertices", "triangles", "edge_vertices", "edge_owner",
-                  "edge_normal", "h_per_triangle"):
+    ref, normals = _surrogate_oracle(dom, n)
+    for field in ("vertices", "triangles", "edge_vertices", "edge_owner"):
         got, want = getattr(m, field), getattr(ref, field)
         assert got.dtype == want.dtype, field
         np.testing.assert_array_equal(got, want, err_msg=field)
+    np.testing.assert_array_equal(m.edge_normals(), normals)
     # each vertex sits at bbox_min + (i, j) h of its grid position
     assert m.grid_n == n
     j, i = np.divmod(m.grid_index, n + 1)
@@ -139,8 +136,10 @@ def test_diameters_match_norm_oracle(name, n):
     # longest side by np.linalg.norm over the gathered (nt, 3, 2) corners
     m = msh.surrogate_mesh(geo.domain_by_name(name), n)
     p = m.vertices[m.triangles]
-    sides = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
-    np.testing.assert_array_equal(m.h_per_triangle, sides.max(axis=1))
+    want = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
+    np.testing.assert_array_equal(m.diameters(), want)
+    np.testing.assert_array_equal(m.diameters(m.edge_owner),
+                                  want[m.edge_owner])
 
 
 def test_surrogate_mesh_empty_matches_renumbering_oracle():
@@ -166,14 +165,14 @@ def test_surrogate_area_monotone_under_refinement(name):
 def test_boundary_edges_full_square():
     m = msh.surrogate_mesh(geo.make_square_domain(), 2)
     assert m.edge_vertices.shape[0] == 8
-    closure = (m.edge_lengths()[:, None] * m.edge_normal).sum(axis=0)
+    closure = (m.edge_lengths()[:, None] * m.edge_normals()).sum(axis=0)
     assert np.abs(closure).max() <= 1e-10
 
 
 def test_boundary_edges_belong_to_owner_and_point_outward():
     disk = geo.make_disk_domain()
     m = msh.surrogate_mesh(disk, 8)
-    closure = (m.edge_lengths()[:, None] * m.edge_normal).sum(axis=0)
+    closure = (m.edge_lengths()[:, None] * m.edge_normals()).sum(axis=0)
     assert np.abs(closure).max() <= 1e-10
     tris = m.triangles[m.edge_owner]
     for k in range(m.edge_vertices.shape[0]):
@@ -181,7 +180,8 @@ def test_boundary_edges_belong_to_owner_and_point_outward():
     centroids = m.vertices[tris].mean(axis=1)
     mids = 0.5 * (m.vertices[m.edge_vertices[:, 0]]
                   + m.vertices[m.edge_vertices[:, 1]])
-    assert (np.einsum("ed,ed->e", m.edge_normal, centroids - mids) < 0).all()
+    assert (np.einsum("ed,ed->e", m.edge_normals(), centroids - mids)
+            < 0).all()
 
 
 def test_surrogate_perimeter_near_circle():
@@ -218,7 +218,8 @@ def test_shift_inactive_configurations():
                                        ((-0.5, 1.0), "zeta"),
                                        ((0.5, 0.0), "c_d"),
                                        ((0.5, -1.0), "c_d"),
-                                       ((0.5, np.nan), "c_d")])
+                                       ((0.5, np.nan), "c_d"),
+                                       ((0.5, np.inf), "c_d")])
 def test_shift_rejects_bad_parameters(cfg, field):
     disk = geo.make_disk_domain()
     m = msh.surrogate_mesh(disk, 8)
@@ -254,7 +255,8 @@ def _bisected_move(vertices, triangles, areas0, incident, v, target):
     frac = 1.0
     for _ in range(60):
         vertices[v] = orig + frac * (target - orig)
-        a = msh._signed_areas(vertices, triangles[incident])
+        p = vertices[triangles[incident]]
+        a = _corner_areas(p[:, 0], p[:, 1], p[:, 2])
         if np.all(a >= msh._AREA_FLOOR * areas0[incident]):
             return frac
         frac *= 0.5
@@ -290,7 +292,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
     shifted vertices."""
     vertices = mesh.vertices.copy()
     triangles = mesh.triangles
-    areas0 = msh._signed_areas(vertices, triangles)
+    areas0 = mesh.triangle_areas()
     bverts = [int(v) for v in mesh.boundary_vertex_ids()]
     incident = {v: [] for v in bverts}
     for t, tri in enumerate(triangles):
@@ -301,7 +303,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
     taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
 
     def edge_excess():
-        h_cur = msh._diameters(vertices, triangles)
+        h_cur = replace(mesh, vertices=vertices).diameters()
         bound = c_d * h_cur[mesh.edge_owner] ** (1.0 + zeta)
         a = vertices[mesh.edge_vertices[:, 0]]
         b = vertices[mesh.edge_vertices[:, 1]]
@@ -316,7 +318,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
             break
         pull = {v: 0.0 for v in bverts}
         if round_ == 0:
-            h_cur = msh._diameters(vertices, triangles)
+            h_cur = replace(mesh, vertices=vertices).diameters()
             _, vdist = msh._global_projection(domain, vertices[bverts])
             for k, v in enumerate(bverts):
                 h_v = h_cur[incident[v]].max()
@@ -354,6 +356,7 @@ def _shift_reference(mesh, domain, zeta, c_d):
     pytest.param("disk", 16, 0.5, 1.0, id="16"),
     pytest.param("disk", 32, 0.5, 1.0, id="32"),
     pytest.param("disk", 128, 0.5, 1.0, id="128"),
+    pytest.param("disk", 192, 0.5, 1.0, id="192"),
     pytest.param("corner", 8, 0.5, 1.0, id="corner-8"),
     pytest.param("corner", 16, 0.5, 1.0, id="corner-16"),
     pytest.param("disk", 32, 1.0, 0.5, id="32-zeta1-cd0.5"),
@@ -365,15 +368,13 @@ def test_shift_matches_per_vertex_reference(name, n, zeta, c_d):
     reference = _shift_reference(m, dom, zeta, c_d)
     assert not np.array_equal(reference, m.vertices)
     np.testing.assert_array_equal(shifted.vertices, reference)
-    # the topology is the input's; normals and diameters follow the moves
+    # only the vertices move; the normals follow them
     for field in ("triangles", "edge_vertices", "edge_owner", "grid_index"):
-        np.testing.assert_array_equal(getattr(shifted, field),
-                                      getattr(m, field), err_msg=field)
+        assert getattr(shifted, field) is getattr(m, field), field
     assert shifted.grid_n == m.grid_n == n
-    ref = _mesh_oracle(reference, m.triangles)
-    for field in ("edge_normal", "h_per_triangle"):
-        np.testing.assert_array_equal(getattr(shifted, field),
-                                      getattr(ref, field), err_msg=field)
+    np.testing.assert_array_equal(
+        shifted.edge_normals(),
+        _boundary_edges_by_key(reference, m.triangles)[2])
 
 
 @pytest.mark.parametrize("name,n", [("square", 8), ("square", 33),
@@ -391,7 +392,7 @@ def test_every_boundary_vertex_starts_a_boundary_edge(name, n):
 
 def test_shift_failure_names_blocked_vertex():
     # each resolution stops before the round cap, at the first round whose
-    # moves change no coordinate; the excess is then the one checked at the
+    # moves change no coordinate; the excess is then the one measured at the
     # start of that round
     disk = geo.make_disk_domain()
     for n, where, rounds in ((40, "near vertex 1002 (excess 4.221e-04)", 30),
@@ -413,6 +414,21 @@ def test_shift_failure_names_blocked_vertex():
             "fully blocked")
 
 
+def test_shift_failure_after_round_cap(monkeypatch):
+    # with two rounds allowed, the shift stops at the cap and measures the
+    # excess once more after the last round's moves
+    monkeypatch.setattr(msh, "_SHIFT_ROUNDS", 2)
+    disk = geo.make_disk_domain()
+    for n, where in ((32, "near vertex 650 (excess 6.707e-05)"),
+                     (128, "near vertex 7528 (excess 1.918e-06)")):
+        m = msh.surrogate_mesh(disk, n)
+        with pytest.raises(MeshError) as info:
+            msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
+        assert str(info.value).endswith(
+            f"{where} at the worst edge after 2 rounds, with no move fully "
+            "blocked")
+
+
 def test_shift_failure_names_area_floor(monkeypatch):
     disk = geo.make_disk_domain()
     m = msh.surrogate_mesh(disk, 8)
@@ -424,57 +440,6 @@ def test_shift_failure_names_area_floor(monkeypatch):
     assert "rounds" not in text
     vertex = int(text.split("near vertex ")[1].split()[0])
     assert vertex in m.boundary_vertex_ids()
-
-
-def test_shift_reprojects_only_what_moved(monkeypatch):
-    disk = geo.make_disk_domain()
-    project, move = msh._global_projection, msh._damped_move
-    live = []
-    calls = []
-
-    def moving(vertices, *args):
-        # keep the shift's working vertex array to snapshot it per call
-        live[:] = [vertices]
-        return move(vertices, *args)
-
-    def recording(domain, pts):
-        calls.append((sys._getframe(1).f_code.co_name, pts.copy(),
-                      live[0].copy() if live else None))
-        return project(domain, pts)
-
-    monkeypatch.setattr(msh, "_damped_move", moving)
-    monkeypatch.setattr(msh, "_global_projection", recording)
-    gauss = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
-    taus = np.unique(np.concatenate([np.linspace(0.0, 1.0, 7), gauss]))
-    # a full projection at every check projects 7,776 points at n=32 (nine
-    # checks, converges after 8 rounds of moves) and 119,070 at n=160 (fails
-    # after 27 rounds); projecting only the edges with a moved endpoint
-    # takes 2,232 and 11,880
-    for n, most in ((32, 2_300), (160, 12_000)):
-        m = msh.surrogate_mesh(disk, n)
-        live.clear()
-        calls.clear()
-        try:
-            msh.shift_boundary_nodes(m, disk, 0.5, 1.0)
-        except MeshError:
-            assert n == 160
-        # one edge check per round, plus the closing check after the round
-        # cap; the first projects every edge, nine samples each
-        assert len(calls) <= msh._SHIFT_ROUNDS + 1
-        assert {name for name, _, _ in calls} == {"edge_excess"}
-        assert len(calls[0][1]) == len(m.edge_vertices) * 9
-        assert sum(len(pts) for _, pts, _ in calls) <= most
-        # every later check projects exactly the samples of the edges with
-        # an endpoint that moved since the check before it
-        before = m.vertices
-        for _, pts, now in calls[1:]:
-            moved = np.any(now != before, axis=1)
-            ev = m.edge_vertices[moved[m.edge_vertices].any(axis=1)]
-            assert len(ev) > 0
-            a, b = now[ev[:, 0]], now[ev[:, 1]]
-            want = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
-            np.testing.assert_array_equal(pts, want.reshape(-1, 2))
-            before = now
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
@@ -553,7 +518,7 @@ def _check_edges_against_dict_count(name, n):
     except MeshError:
         assert (name, n) == ("disk", 2)  # no 2 x 2 grid triangle is inside
     else:
-        got.append((m.edge_vertices, m.edge_owner, m.edge_normal))
+        got.append((m.edge_vertices, m.edge_owner, m.edge_normals()))
         want.append(_boundary_edges_oracle(m.vertices, m.triangles))
     for fields, ref in zip(got, want):
         for field, value, expect in zip(("vertices", "owner", "normal"),
@@ -596,8 +561,6 @@ def _vtk_reference(mesh, point_data):
 
 
 def test_vtk_export_matches_line_formatter(tmp_path):
-    from dataclasses import replace
-
     dom = geo.make_corner_domain()
     m = msh.surrogate_mesh(dom, 6)
     vertices = m.vertices.copy()
